@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercut import CutSystem, count_cut, snap_to_labels, wrap_angle
+from .hypercut import CutSystem, count_cut, edge_nodes, snap_to_labels
 from .instances import CnfInstance, Hypergraph
 from .naesat import NaeSystem, snap_to_spins
-from .polynomial import count_satisfied
+from .polynomial import clause_arrays, count_satisfied
 
 TWO_PI = 2.0 * np.pi
 _NOISE_CHUNK = 256
@@ -139,14 +139,17 @@ def _dispatch(system, instance):
             raise ValueError("NaeSystem requires a CnfInstance")
         if instance.num_vars != system.num_vars or instance.num_clauses != system.num_clauses:
             raise ValueError("instance dimensions do not match the system")
-        return system.num_vars, snap_to_spins, lambda snapped: count_satisfied(instance, snapped)
+        clauses = clause_arrays(instance)
+        return system.num_vars, snap_to_spins, lambda snapped: count_satisfied(instance, snapped, clauses)
     if isinstance(system, CutSystem):
         if not isinstance(instance, Hypergraph):
             raise ValueError("CutSystem requires a Hypergraph")
         if instance != system.hypergraph:
             raise ValueError("instance does not match the system's hypergraph")
         k = system.k_partitions
-        return system.num_nodes, lambda phi: snap_to_labels(phi, k), lambda snapped: count_cut(instance, snapped)
+        nodes = edge_nodes(instance)
+        return (system.num_nodes, lambda phi: snap_to_labels(phi, k),
+                lambda snapped: count_cut(instance, snapped, nodes))
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
@@ -254,12 +257,7 @@ def _near_bumps(system, phases) -> bool:
     """True when some pair difference is within the support of a penalty bump."""
     if not isinstance(system, CutSystem):
         return False
-    phi = np.asarray(phases, dtype=float)
-    k = system.k_partitions
-    d = wrap_angle(phi[..., system._pair_i] - phi[..., system._pair_j])[system._mask]
-    centers = 2.0 * np.pi * np.arange(1, k) / k
-    dist = np.min(np.minimum(np.abs(d[:, None] - centers), np.abs(d[:, None] + centers)), axis=-1)
-    return bool(np.any(dist < _BUMP_MARGIN * system.sigma))
+    return system.bump_distance(phases) < _BUMP_MARGIN * system.sigma
 
 
 def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> AuditReport:

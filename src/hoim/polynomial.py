@@ -142,17 +142,23 @@ def evaluate(poly: InteractionPolynomial, spins) -> Fraction:
     return total
 
 
-def count_satisfied(instance: CnfInstance, spins) -> int | np.ndarray:
+def clause_arrays(instance: CnfInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based variable indices and literal signs of every clause, each (M, K)."""
+    variables = np.array([[abs(l) for l in c] for c in instance.clauses]) - 1
+    signs = np.array([[1 if l > 0 else -1 for l in c] for c in instance.clauses])
+    return variables, signs
+
+
+def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndarray:
     """Number of NAE-satisfied clauses under a spin assignment.
 
     A clause is satisfied when its literal values sign_i * s_i are not all
     equal (x_i = 1 corresponds to s_i = +1).  ``spins`` may carry leading
-    batch dimensions; the count then has the batch shape.
+    batch dimensions; the count then has the batch shape.  Callers that
+    count repeatedly pass ``clauses = clause_arrays(instance)`` built once.
     """
-    s = np.asarray(spins)
-    variables = np.array([[abs(l) for l in c] for c in instance.clauses]) - 1  # (M, K)
-    signs = np.array([[1 if l > 0 else -1 for l in c] for c in instance.clauses])
-    values = signs * s[..., variables]  # (..., M, K)
+    variables, signs = clause_arrays(instance) if clauses is None else clauses
+    values = signs * np.asarray(spins)[..., variables]  # (..., M, K)
     all_equal = np.all(values == values[..., :1], axis=-1)
     satisfied = instance.num_clauses - all_equal.sum(axis=-1)
     if satisfied.ndim == 0:

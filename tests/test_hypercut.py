@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hoim.hypercut import (
     CutSystem,
     count_cut,
     default_constants,
+    edge_nodes,
     pair_factor,
     phase_penalty,
     snap_to_labels,
@@ -27,6 +28,17 @@ def label_state(labels, k):
 def is_uncut(labels, edge):
     values = [labels[n - 1] for n in edge]
     return all(v == values[0] for v in values)
+
+
+def all_bump_penalty(delta, k, sigma):
+    """Reference f: the sum over all 2(K-1) Gaussian bumps at +-2*pi*j/K."""
+    d = np.asarray(delta, dtype=float)[..., None]
+    j = np.arange(1, k)
+    centers = 2.0 * np.pi * j / k
+    amplitudes = (2.0 * j - 1.0) * np.pi - centers
+    bumps = np.exp(-((d - centers) ** 2) / (2.0 * sigma**2))
+    bumps -= np.exp(-((d + centers) ** 2) / (2.0 * sigma**2))
+    return (amplitudes * bumps).sum(axis=-1)
 
 
 def test_wrap_angle_principal_range():
@@ -67,8 +79,79 @@ def test_phase_penalty_antisymmetric():
         assert np.allclose(f, -phase_penalty(-deltas, k, SIGMA), atol=1e-12)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_nearest_bump_matches_all_bump_sum(k):
+    rng = np.random.default_rng(20 + k)
+    lattice = 2 * np.pi * np.arange(1, k) / k
+    lattice = lattice[lattice <= np.pi]
+    for sigma in (SIGMA, 0.99 * 2 * np.pi / (8 * k)):
+        on_bump = (lattice[:, None] + sigma * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])).ravel()
+        on_bump = on_bump[on_bump <= np.pi]
+        deltas = np.concatenate([rng.uniform(-np.pi, np.pi, 2000), on_bump, -on_bump])
+        diff = np.abs(phase_penalty(deltas, k, sigma) - all_bump_penalty(deltas, k, sigma))
+        # every omitted bump is at least pi/K from the nearest one
+        bound = 1e-300 if sigma == SIGMA else 2 * np.pi * k * np.exp(-(np.pi / k) ** 2 / (2 * sigma**2))
+        assert diff.max() <= bound
+
+
 def make_system(graph, k, sigma=SIGMA, coupling=None, harmonic=None):
     return CutSystem.from_hypergraph(graph, k, coupling=coupling, harmonic=harmonic, sigma=sigma)
+
+
+def test_padding_pairs_are_exact_identities():
+    # the 2-node edge is padded to the 4-node edge's 6 pairs
+    graph = Hypergraph(5, ((1, 2), (2, 3, 4, 5)))
+    system = make_system(graph, 3)
+    pad = system._pair_i == system._pair_j
+    assert pad.sum() == 5
+    phi = np.random.default_rng(21).uniform(0, 2 * np.pi, (4, 5))
+    deltas, penalties, factors = system._pair_geometry(phi)
+    assert np.all(factors[..., pad] == 1.0)
+    assert np.all(np.sin(deltas + penalties)[..., pad] == 0.0)  # the pair's drift gain
+    assert not system._scatter[pad.ravel()].any()
+
+
+def masked_all_bump_energy_drift(system, phases):
+    """Reference energy and drift: all-bump f, padding pairs masked out."""
+    graph, k = system.hypergraph, system.k_partitions
+    width = max(len(e) * (len(e) - 1) // 2 for e in graph.hyperedges)
+    pair_i, pair_j = np.zeros((2, graph.num_edges, width), dtype=int)
+    mask = np.zeros((graph.num_edges, width), dtype=bool)
+    for row, edge in enumerate(graph.hyperedges):
+        for col, (a, b) in enumerate(combinations(edge, 2)):
+            pair_i[row, col], pair_j[row, col], mask[row, col] = a - 1, b - 1, True
+    scatter = np.zeros((pair_i.size, graph.num_nodes))
+    rows = np.flatnonzero(mask)
+    scatter[rows, pair_i.ravel()[rows]] += 1.0
+    scatter[rows, pair_j.ravel()[rows]] -= 1.0
+    deltas = wrap_angle(phases[..., pair_i] - phases[..., pair_j])
+    penalties = all_bump_penalty(deltas, k, system.sigma)
+    factors = np.where(mask, 0.5 * (1.0 + np.cos(deltas + penalties)), 1.0)
+    pinning = (system.harmonic / k) * np.cos(k * phases).sum(axis=-1)
+    energy = system.coupling * factors.prod(axis=-1).sum(axis=-1) - pinning
+    ones = np.ones_like(factors[..., :1])
+    prefix = np.concatenate([ones, np.cumprod(factors, axis=-1)[..., :-1]], axis=-1)
+    rev = np.cumprod(factors[..., ::-1], axis=-1)[..., ::-1]
+    suffix = np.concatenate([rev[..., 1:], ones], axis=-1)
+    gain = np.where(mask, 0.5 * system.coupling * np.sin(deltas + penalties) * prefix * suffix, 0.0)
+    drift = gain.reshape(*gain.shape[:-2], -1) @ scatter - system.harmonic * np.sin(k * phases)
+    return energy, drift
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_energy_drift_match_masked_all_bump_form(k):
+    graph = generate_random_hypergraph(10, 20, 2, 5, seed=17)
+    system = make_system(graph, k)
+    rng = np.random.default_rng(30 + k)
+    phi = rng.uniform(0, 2 * np.pi, (3, 20, 10))
+    energy, drift = masked_all_bump_energy_drift(system, phi)
+    assert np.max(np.abs(system.energy(phi) - energy)) <= 1e-12
+    assert np.max(np.abs(system.drift(phi) - drift)) <= 1e-12
+    # The reference shares wrap_angle because f's slope, of order 1/sigma,
+    # turns a last-bit change in a difference into ~1e-11 near a bump; the
+    # wrap is checked against the np.mod form on its own.
+    x = rng.uniform(-2 * np.pi, 2 * np.pi, 1000)
+    assert np.max(np.abs(wrap_angle(x) - (np.pi - np.mod(np.pi - x, 2 * np.pi)))) <= 1e-14
 
 
 def test_pair_factor_lattice_values():
@@ -118,6 +201,18 @@ def test_count_cut_matches_indicator_sum_exhaustive():
             phi = label_state(labels, k)
             indicator_sum = sum(system.hyperedge_indicator(e, phi) for e in graph.hyperedges)
             assert abs(indicator_sum - (10 - count_cut(graph, labels))) < 1e-6 * 10
+
+
+def test_count_cut_vectorised_matches_edge_loop():
+    graph = generate_random_hypergraph(9, 15, 2, 5, seed=22)
+    labels = np.random.default_rng(23).integers(0, 3, (4, 5, 9))
+    want = np.zeros((4, 5), dtype=int)
+    for idx in np.ndindex(4, 5):
+        for edge in graph.hyperedges:
+            want[idx] += len({labels[idx][n - 1] for n in edge}) > 1
+    assert np.array_equal(count_cut(graph, labels), want)
+    assert np.array_equal(count_cut(graph, labels, edge_nodes(graph)), want)
+    assert count_cut(graph, labels[2, 3]) == want[2, 3]
 
 
 def test_lattice_energy_identity():
@@ -184,7 +279,7 @@ def test_leave_one_out_equals_quotient_form():
         while checked < 20:
             phi = rng.uniform(0, 2 * np.pi, 8)
             deltas, penalties, factors = system._pair_geometry(phi)
-            if np.min(factors[system._mask]) <= 1e-9:
+            if np.min(factors) <= 1e-9:  # padding factors are exactly 1
                 continue
             checked += 1
             indicators = factors.prod(axis=-1)

@@ -8,6 +8,7 @@ from hoim.instances import CnfInstance, generate_planted_nae
 from hoim.polynomial import (
     InteractionPolynomial,
     build_objective,
+    clause_arrays,
     count_satisfied,
     dump_polynomial,
     evaluate,
@@ -149,6 +150,13 @@ def test_count_satisfied_batched():
     assert batched.shape == (5,)
     for row, want in zip(spins, batched):
         assert count_satisfied(inst, row) == want
+
+
+def test_count_satisfied_prebuilt_clause_arrays():
+    inst, _ = generate_planted_nae(12, 30, 4, seed=5)
+    spins = np.random.default_rng(1).choice([-1, 1], size=(3, 4, 12))
+    want = np.array([[[all_equal_indicator(c, s) for c in inst.clauses] for s in row] for row in spins])
+    assert np.array_equal(count_satisfied(inst, spins, clause_arrays(inst)), 30 - want.sum(axis=-1))
 
 
 def test_evaluate_index_out_of_range():
