@@ -29,7 +29,7 @@ from .polynomial import (
 )
 from .naesat import NaeSystem, snap_to_spins
 from .hypercut import CutSystem, count_cut, snap_to_labels
-from .engine import AuditReport, SolveResult, SolverConfig, TraceRecord, lyapunov_audit, run, step
+from .engine import AuditReport, SolveResult, SolverConfig, TraceRecord, lyapunov_audit, run
 from . import oracle
 
 __version__ = "0.1.0"
@@ -62,5 +62,4 @@ __all__ = [
     "run",
     "snap_to_labels",
     "snap_to_spins",
-    "step",
 ]

@@ -5,11 +5,16 @@ The update is Euler-Maruyama with additive phase noise:
     phi' = wrap(phi + dt * drift(phi) + noise_amp * sqrt(dt) * xi)
 
 with xi standard normal.  Noise follows either a constant schedule or a
-linear decay that reaches zero at ``decay_step``.  Restarts are
-independent: restart r draws its initial phases and its entire noise
-stream from a generator seeded with ``seed + r``, so results are
-bit-reproducible for a fixed (instance, config) and restarts may be
-evolved together as one batch without coupling their randomness.
+linear decay that reaches zero at ``decay_step``.  Restart r draws its
+initial phases and its entire noise stream from a generator seeded with
+``seed + r``, so results are bit-reproducible for a fixed (instance,
+config).  The restarts are evolved together as one batch, and the drift's
+floating-point sums depend on the batch shape: restart r replays bit for
+bit only inside a batch of the same ``restarts`` count, not as a solo run
+seeded ``seed + r`` (ROADMAP item 5).
+
+``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``; a
+system supplies it ``num_spins``, ``energy``, ``drift`` and ``near_bumps``.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ from .polynomial import clause_arrays, count_satisfied
 
 TWO_PI = 2.0 * np.pi
 _NOISE_CHUNK = 256
-# Gaussian bump support for audit bookkeeping: beyond this many sigmas a
-# penalty bump is numerically zero.
-_BUMP_MARGIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,9 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RestartSummary:
+    """Outcome of one restart.  ``seed`` replays it bit for bit only in a batch
+    of the same ``restarts`` count, not in a solo run (see the module docstring)."""
+
     restart: int
     seed: int
     steps_run: int
@@ -117,21 +122,6 @@ def wrap_phases(phases: np.ndarray) -> np.ndarray:
     return np.mod(phases, TWO_PI)
 
 
-def step(state: np.ndarray, drift_fn, dt: float, noise_amp: float, rng=None) -> np.ndarray:
-    """One Euler-Maruyama step.  With ``noise_amp == 0`` no random numbers
-    are consumed and the step is plain explicit Euler."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    phi = np.asarray(state, dtype=float)
-    d = np.asarray(drift_fn(phi), dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise RuntimeError("non-finite drift component")
-    out = phi + dt * d
-    if noise_amp > 0.0:
-        out = out + noise_amp * math.sqrt(dt) * rng.standard_normal(phi.shape)
-    return wrap_phases(out)
-
-
 def _dispatch(system, instance):
     """Snap/metric hooks and dimension checks for the two system kinds."""
     if isinstance(system, NaeSystem):
@@ -140,7 +130,7 @@ def _dispatch(system, instance):
         if instance.num_vars != system.num_vars or instance.num_clauses != system.num_clauses:
             raise ValueError("instance dimensions do not match the system")
         clauses = clause_arrays(instance)
-        return system.num_vars, snap_to_spins, lambda snapped: count_satisfied(instance, snapped, clauses)
+        return snap_to_spins, lambda snapped: count_satisfied(instance, snapped, clauses)
     if isinstance(system, CutSystem):
         if not isinstance(instance, Hypergraph):
             raise ValueError("CutSystem requires a Hypergraph")
@@ -148,19 +138,46 @@ def _dispatch(system, instance):
             raise ValueError("instance does not match the system's hypergraph")
         k = system.k_partitions
         nodes = edge_nodes(instance)
-        return (system.num_nodes, lambda phi: snap_to_labels(phi, k),
-                lambda snapped: count_cut(instance, snapped, nodes))
+        return lambda phi: snap_to_labels(phi, k), lambda snapped: count_cut(instance, snapped, nodes)
     raise TypeError(f"unsupported system type {type(system).__name__}")
+
+
+def _trajectory(system, config: SolverConfig, steps: int, gens, active):
+    """Yield the (restarts, num_spins) phases: the initial draw, then the state
+    after each of ``steps`` Euler-Maruyama steps.  Restart r draws from
+    ``gens[r]``.  Restarts whose ``active`` entry is False keep their phases
+    and draw no noise; the caller may clear entries between yields."""
+    n = system.num_spins
+    phi = np.stack([g.uniform(0.0, TWO_PI, n) for g in gens])
+    yield phi
+    sqrt_dt = math.sqrt(config.dt)
+    noise_buf = np.zeros((len(gens), _NOISE_CHUNK, n))
+    buf_pos = _NOISE_CHUNK
+    for s in range(1, steps + 1):
+        amp = config.noise_at(s - 1)
+        drift = system.drift(phi)
+        if not np.all(np.isfinite(drift[active])):
+            bad = int(np.flatnonzero(active & ~np.isfinite(drift).all(axis=-1))[0])
+            raise RuntimeError(f"non-finite drift in restart {bad} at step {s}")
+        update = phi + config.dt * drift
+        if amp > 0.0:
+            if buf_pos >= _NOISE_CHUNK:
+                for r in np.flatnonzero(active):
+                    noise_buf[r] = gens[r].standard_normal((_NOISE_CHUNK, n))
+                buf_pos = 0
+            update = update + amp * sqrt_dt * noise_buf[:, buf_pos]
+            buf_pos += 1
+        phi = np.where(active[:, None], wrap_phases(update), phi)
+        yield phi
 
 
 def run(system, config: SolverConfig, instance) -> SolveResult:
     """Integrate ``config.restarts`` independent trajectories and return the
     best snapped solution found, with per-restart traces sampled every
     ``config.record_every`` steps (plus the initial and final states)."""
-    n, snap, metric_fn = _dispatch(system, instance)
+    snap, metric_fn = _dispatch(system, instance)
     n_restarts = config.restarts
     gens = [np.random.default_rng(config.seed + r) for r in range(n_restarts)]
-    phi = np.stack([g.uniform(0.0, TWO_PI, n) for g in gens])
 
     active = np.ones(n_restarts, dtype=bool)
     stopped_early = np.zeros(n_restarts, dtype=bool)
@@ -169,7 +186,7 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
     best_step = np.zeros(n_restarts, dtype=int)
     best_snap: list[np.ndarray | None] = [None] * n_restarts
 
-    def record(step_index: int):
+    def record(step_index: int, phi: np.ndarray):
         energies = system.energy(phi)
         if not np.all(np.isfinite(energies[active])):
             bad = int(np.flatnonzero(active & ~np.isfinite(energies))[0])
@@ -190,29 +207,11 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
                 if step_index < config.steps:
                     stopped_early[r] = True
 
-    record(0)
-    sqrt_dt = math.sqrt(config.dt)
-    noise_buf = np.zeros((n_restarts, _NOISE_CHUNK, n))
-    buf_pos = _NOISE_CHUNK
-    for s in range(1, config.steps + 1):
+    for s, phi in enumerate(_trajectory(system, config, config.steps, gens, active)):
+        if s % config.record_every == 0 or s == config.steps:
+            record(s, phi)
         if not active.any():
             break
-        amp = config.noise_at(s - 1)
-        drift = system.drift(phi)
-        if not np.all(np.isfinite(drift[active])):
-            bad = int(np.flatnonzero(active & ~np.isfinite(drift).all(axis=-1))[0])
-            raise RuntimeError(f"non-finite drift in restart {bad} at step {s}")
-        update = phi + config.dt * drift
-        if amp > 0.0:
-            if buf_pos >= _NOISE_CHUNK:
-                for r in np.flatnonzero(active):
-                    noise_buf[r] = gens[r].standard_normal((_NOISE_CHUNK, n))
-                buf_pos = 0
-            update = update + amp * sqrt_dt * noise_buf[:, buf_pos]
-            buf_pos += 1
-        phi = np.where(active[:, None], wrap_phases(update), phi)
-        if s % config.record_every == 0 or s == config.steps:
-            record(s)
 
     summaries = []
     for r in range(n_restarts):
@@ -253,13 +252,6 @@ class AuditReport:
     bump_steps: int
 
 
-def _near_bumps(system, phases) -> bool:
-    """True when some pair difference is within the support of a penalty bump."""
-    if not isinstance(system, CutSystem):
-        return False
-    return system.bump_distance(phases) < _BUMP_MARGIN * system.sigma
-
-
 def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> AuditReport:
     """Track the energy along one noise-free trajectory (restart seed 0).
 
@@ -269,29 +261,17 @@ def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> Au
     if config.noise_amplitude != 0.0:
         raise ValueError("lyapunov audit requires noise_amplitude = 0")
     n_steps = config.steps if steps is None else steps
-    n = system.num_vars if isinstance(system, NaeSystem) else system.num_nodes
-    rng = np.random.default_rng(config.seed)
-    phi = rng.uniform(0.0, TWO_PI, n)
-    energy = float(system.energy(phi))
-    initial = energy
-    max_increase = 0.0
-    max_increase_clear = 0.0
-    bump_steps = 0
-    near_prev = _near_bumps(system, phi)
-    for _ in range(n_steps):
-        phi = step(phi, system.drift, config.dt, 0.0)
-        new_energy = float(system.energy(phi))
-        change = new_energy - energy
-        max_increase = max(max_increase, change)
-        near_now = _near_bumps(system, phi)
-        if near_prev or near_now:
-            bump_steps += 1
-        else:
-            max_increase_clear = max(max_increase_clear, change)
-        near_prev = near_now
-        energy = new_energy
+    gens = [np.random.default_rng(config.seed)]
+    energies, near = [], []
+    for phi in _trajectory(system, config, n_steps, gens, np.ones(1, dtype=bool)):
+        energies.append(float(system.energy(phi[0])))
+        near.append(system.near_bumps(phi[0]))
+    changes = np.diff(energies)
+    touched = np.logical_or(near[:-1], near[1:])
     return AuditReport(
-        steps=n_steps, initial_energy=initial, final_energy=energy,
-        delta_energy=energy - initial, max_step_increase=max_increase,
-        max_step_increase_clear=max_increase_clear, bump_steps=bump_steps,
+        steps=n_steps, initial_energy=energies[0], final_energy=energies[-1],
+        delta_energy=energies[-1] - energies[0],
+        max_step_increase=float(np.max(changes, initial=0.0)),
+        max_step_increase_clear=float(np.max(changes[~touched], initial=0.0)),
+        bump_steps=int(touched.sum()),
     )

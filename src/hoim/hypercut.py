@@ -38,6 +38,7 @@ _FALLBACK_CONSTANTS = (10.0, 10.0)
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
 _EXP_FLOOR = -700.0  # e^-700 ~ 1e-304 is negligible; exp underflows slowly below it
+_BUMP_MARGIN = 8.0  # beyond this many sigmas from its centre a bump is numerically zero
 
 
 def default_constants(k: int) -> tuple[float, float, bool]:
@@ -113,18 +114,18 @@ class CutSystem:
 
     @classmethod
     def from_hypergraph(cls, graph: Hypergraph, k: int, coupling: float | None = None,
-                        harmonic: float | None = None, sigma: float = DEFAULT_SIGMA) -> "CutSystem":
+                        harmonic: float | None = None, sigma: float | None = None) -> "CutSystem":
         a_default, as_default, _ = default_constants(k)
         return cls(
             hypergraph=graph,
             k_partitions=k,
             coupling=coupling if coupling is not None else a_default,
             harmonic=harmonic if harmonic is not None else as_default,
-            sigma=sigma,
+            sigma=sigma if sigma is not None else DEFAULT_SIGMA,
         )
 
     @property
-    def num_nodes(self) -> int:
+    def num_spins(self) -> int:
         return self.hypergraph.num_nodes
 
     def _pair_geometry(self, phases, penalties=None):
@@ -141,12 +142,19 @@ class CutSystem:
         _, penalties, _ = self._pair_geometry(phases)
         return penalties
 
-    def bump_distance(self, phases) -> float:
-        """Smallest distance from a pair difference to its nearest bump centre."""
+    def near_bumps(self, phases) -> bool:
+        """True when some pair difference lies within the support of a penalty
+        bump, where the frozen-f drift is not the energy's gradient."""
         phi = np.asarray(phases, dtype=float)
         size, _, centre = _nearest_bump(wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j]),
                                         self.k_partitions)
-        return float(np.min(np.abs(size - centre)))
+        return bool(np.min(np.abs(size - centre)) < _BUMP_MARGIN * self.sigma)
+
+    def frozen_energy(self, state):
+        """Energy with f frozen at ``state``; ``drift`` is its exact negative
+        gradient at ``state``."""
+        penalties = self.pair_penalties(state)
+        return lambda phases: self.energy(phases, penalties=penalties)
 
     def energy(self, phases, penalties=None) -> float | np.ndarray:
         """Edge indicators summed, plus the K-th-harmonic pinning term.
@@ -175,22 +183,6 @@ class CutSystem:
         gain *= others
         flat = gain.reshape(*gain.shape[:-2], -1)
         return flat @ self._scatter - self.harmonic * np.sin(self.k_partitions * phi)
-
-    def hyperedge_indicator(self, edge, phases) -> float:
-        """Product of pair factors inside one hyperedge (1 = uncut)."""
-        phi = np.asarray(phases, dtype=float)
-        value = 1.0
-        for a, b in combinations(edge, 2):
-            value *= pair_factor(phi[a - 1], phi[b - 1], self)
-        return value
-
-
-def pair_factor(phi_i: float, phi_j: float, sys: CutSystem) -> float:
-    """1 for phases at the same lattice label, 0 at different labels
-    (up to smoothing error of order sigma)."""
-    delta = wrap_angle(phi_i - phi_j)
-    shift = phase_penalty(delta, sys.k_partitions, sys.sigma)
-    return float(0.5 * (1.0 + np.cos(delta + shift)))
 
 
 def edge_nodes(graph: Hypergraph) -> np.ndarray:

@@ -5,8 +5,10 @@ Text formats:
 * DIMACS CNF.  Comment lines start with ``c``, the header is
   ``p cnf <num_vars> <num_clauses>``, and each clause is a run of
   space-separated signed variable indices terminated by ``0`` (clauses may
-  span lines).  NAE semantics are an interpretation applied by the solver,
-  so any standard SAT tooling can produce inputs.
+  span lines).  A line starting with the token ``%`` ends the data, so the
+  SATLIB trailer (``%`` then ``0``) is accepted.  NAE semantics are an
+  interpretation applied by the solver, so any standard SAT tooling can
+  produce inputs.
 
 * Hyperedge lists.  Same conventions with header ``p hyp <num_nodes>
   <num_edges>``; each edge is a run of positive node indices terminated by
@@ -109,6 +111,8 @@ def _tokenize(text: str, expect_format: str):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.split()[0] == "%":
+            break
         if line.startswith("p"):
             if header is not None:
                 raise InstanceError(f"line {lineno}: duplicate header")

@@ -95,6 +95,18 @@ class NaeSystem:
             num_clauses=instance.num_clauses,
         )
 
+    @property
+    def num_spins(self) -> int:
+        return self.num_vars
+
+    def near_bumps(self, phases) -> bool:
+        """Always False: the NAE energy has no penalty bumps."""
+        return False
+
+    def frozen_energy(self, state):
+        """The energy itself: ``drift`` is its exact negative gradient everywhere."""
+        return self.energy
+
     def alternating_sums(self, phases: np.ndarray) -> np.ndarray:
         """psi_t = phi_a - phi_b + phi_c - ... for each term tuple."""
         return np.asarray(phases, dtype=float) @ self._pattern

@@ -109,6 +109,20 @@ def test_solve_malformed_input_exits_2(tmp_path):
     assert main(["solve", "--problem", "nae-sat", "--input", str(bad)]) == 2
 
 
+def test_solve_accepts_satlib_trailer(tmp_path):
+    path = tmp_path / "satlib.cnf"
+    path.write_text("p cnf 4 2\n1 -2 3 4 0\n-1 2 -3 4 0\n%\n0\n")
+    assert main(["solve", "--problem", "nae-sat", "--input", str(path),
+                 "--steps", "200", "--restarts", "2"]) == 0
+
+
+def test_solve_percent_inside_clause_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 4 2\n1 -2 3 4 0\n-1 2 % -3 4 0\n")
+    assert main(["solve", "--problem", "nae-sat", "--input", str(path)]) == 2
+    assert "non-integer token" in capsys.readouterr().err
+
+
 def test_solve_rerun_from_config_echo_is_bit_identical(nae_file, tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hoim.engine import AuditReport, SolverConfig, lyapunov_audit, run, step
+from hoim.engine import AuditReport, SolverConfig, lyapunov_audit, run
 from hoim.hypercut import CutSystem
-from hoim.instances import CnfInstance, generate_planted_nae, generate_random_hypergraph
+from hoim.instances import CnfInstance, Hypergraph, generate_planted_nae, generate_random_hypergraph
 from hoim.naesat import NaeSystem
 
 
@@ -40,36 +40,54 @@ def test_decay_step_resolves_to_80_percent():
     assert constant.noise_at(999) == 0.5
 
 
-def test_step_deterministic_euler_without_noise():
-    _, system = nae_setup()
-    rng = np.random.default_rng(0)
-    phi = rng.uniform(0, 2 * np.pi, 10)
-    out = step(phi, system.drift, 1e-3, 0.0)
-    assert np.allclose(out, np.mod(phi + 1e-3 * system.drift(phi), 2 * np.pi))
+def test_run_noise_free_is_explicit_euler():
+    inst, system = nae_setup()
+    cfg = SolverConfig(dt=1e-3, steps=20, noise_amplitude=0.0, noise_schedule="constant",
+                       restarts=1, seed=4, record_every=1, record_phases=True)
+    result = run(system, cfg, inst)
+    phi = np.random.default_rng(4).uniform(0, 2 * np.pi, 10)
+    assert [rec.step for rec in result.trace] == list(range(21))
+    for rec in result.trace:
+        assert np.array_equal(rec.phases, phi)
+        phi = np.mod(phi + 1e-3 * system.drift(phi), 2 * np.pi)
 
 
-def test_step_identity_for_zero_drift():
-    phi = np.array([0.3, 1.2])
-    out = step(phi, lambda x: np.zeros_like(x), 1e-2, 0.0)
-    assert np.array_equal(out, phi)
+def test_lyapunov_audit_follows_the_run_trajectory():
+    inst, system = nae_setup(seed=4)
+    cfg = SolverConfig(dt=1e-3, steps=30, noise_amplitude=0.0, noise_schedule="constant",
+                       restarts=1, seed=6, record_every=1)
+    trace = run(system, cfg, inst).trace
+    report = lyapunov_audit(system, cfg)
+    assert report.initial_energy == trace[0].energy
+    assert report.final_energy == trace[-1].energy
 
 
-def test_step_same_seed_same_trajectory():
-    _, system = nae_setup()
-    for _ in range(2):
-        trajectories = []
-        for _ in range(2):
-            rng = np.random.default_rng(99)
-            phi = rng.uniform(0, 2 * np.pi, 10)
-            for _ in range(50):
-                phi = step(phi, system.drift, 1e-3, 0.4, rng)
-            trajectories.append(phi)
-        assert np.array_equal(trajectories[0], trajectories[1])
+class _NanDrift:
+    num_spins = 3
+
+    def drift(self, phases):
+        return np.where(np.arange(3) == 1, np.nan, 0.0) * np.ones_like(phases)
+
+    def energy(self, phases):
+        return np.zeros(np.shape(phases)[:-1])
+
+    def near_bumps(self, phases):
+        return False
 
 
-def test_step_raises_on_nonfinite_drift():
-    with pytest.raises(RuntimeError, match="non-finite"):
-        step(np.zeros(3), lambda x: np.array([1.0, np.nan, 0.0]), 1e-3, 0.0)
+def test_trajectory_raises_on_nonfinite_drift():
+    cfg = SolverConfig(dt=1e-3, steps=5, noise_amplitude=0.0)
+    with pytest.raises(RuntimeError, match="non-finite drift in restart 0 at step 1"):
+        lyapunov_audit(_NanDrift(), cfg)
+
+
+def test_near_bumps():
+    _, nae = nae_setup()
+    assert nae.near_bumps(np.zeros(10)) is False
+    graph = Hypergraph(2, ((1, 2),))
+    cut = CutSystem.from_hypergraph(graph, 3)
+    assert cut.near_bumps(np.array([2 * np.pi / 3, 0.0])) is True
+    assert cut.near_bumps(np.array([np.pi / 3, 0.0])) is False
 
 
 def test_run_single_step_trace():

@@ -28,7 +28,14 @@ def test_parse_dimacs_comments_and_multiline_clause():
     assert inst.clauses == ((1, 2, -3, 4), (-1, -2, 3, -4))
 
 
+def test_parse_dimacs_satlib_trailer():
+    inst = parse_dimacs("p cnf 4 2\n1 -2 3 4 0\n-1 2 -3 4 0\n%\n0\n")
+    assert inst.clauses == ((1, -2, 3, 4), (-1, 2, -3, 4))
+
+
 @pytest.mark.parametrize("text,match", [
+    ("p cnf 4 2\n1 -2 3 4 0\n%\n-1 2 -3 4 0\n", "promises"),
+    ("p cnf 4 2\n1 -2 3 4 0\n-1 2 % -3 4 0\n", "non-integer"),
     ("p cnf 2 1\n1 -1 0\n", "repeated"),
     ("p cnf 2 1\n1 3 0\n", "out of range"),
     ("p cnf 3 2\n1 2 0\n1 2 3 0\n", "uniform"),
