@@ -194,11 +194,11 @@ def cmd_audit(args) -> int:
 
     print(f"steps {report.steps}; dt {config.dt}")
     print(f"max per-step energy increase {report.max_step_increase:.3e}"
-          f" (outside penalty bumps {report.max_step_increase_clear:.3e},"
-          f" {report.bump_steps} steps near bumps)")
+          f" (frozen energy {report.max_step_increase_clear:.3e})")
     print(f"total energy change {report.delta_energy:.6f}")
     print(f"gradient check max relative error {worst_gradient:.3e}")
-    # Steps near a penalty bump are excluded; systems without bumps have none.
+    # Gate on the frozen energy: the raw cut energy can also rise through the
+    # bump slope that the drift drops.
     ok = (report.max_step_increase_clear <= DESCENT_TOLERANCE and report.delta_energy < 0.0
           and worst_gradient <= GRADIENT_TOLERANCE[args.problem])
     print("audit " + ("PASS" if ok else "FAIL"))
@@ -273,6 +273,10 @@ def main(argv=None) -> int:
         parser.error("--k is required for hyper-maxcut")
     if getattr(args, "k", None) is not None and args.k < 2:
         parser.error("--k must be at least 2")
+    if getattr(args, "problem", None) == "nae-sat":
+        for flag in ("k", "sigma"):
+            if getattr(args, flag, None) is not None:
+                parser.error(f"--{flag} applies to hyper-maxcut only")
     try:
         return args.func(args)
     except (InstanceError, OSError, ValueError) as exc:

@@ -13,8 +13,10 @@ floating-point sums depend on the batch shape: restart r replays bit for
 bit only inside a batch of the same ``restarts`` count, not as a solo run
 seeded ``seed + r`` (ROADMAP item 5).
 
-``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``; a
-system supplies it ``num_spins``, ``energy``, ``drift`` and ``near_bumps``.
+``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``.  A
+system supplies ``num_spins``, ``energy``, ``drift`` and ``frozen_energy``,
+the function whose exact negative gradient ``drift`` is at a given state;
+the audit holds every step to it.
 """
 
 from __future__ import annotations
@@ -238,9 +240,12 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
 class AuditReport:
     """Per-step energy accounting of one noise-free trajectory.
 
-    ``max_step_increase_clear`` excludes steps where some pair difference
-    sits inside a penalty-bump neighborhood (identical to the raw maximum
-    for systems without penalty bumps).
+    ``max_step_increase`` is the largest rise of the energy over one step.
+    ``max_step_increase_clear`` is the largest rise of
+    ``system.frozen_energy(phi_s)`` from ``phi_s`` to ``phi_{s+1}``, over
+    every step: ``drift`` is that function's exact negative gradient at
+    ``phi_s``, so a stable Euler step cannot raise it.  For systems whose
+    frozen energy is the energy itself the two figures are equal.
     """
 
     steps: int
@@ -249,7 +254,6 @@ class AuditReport:
     delta_energy: float
     max_step_increase: float
     max_step_increase_clear: float
-    bump_steps: int
 
 
 def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> AuditReport:
@@ -262,16 +266,17 @@ def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> Au
         raise ValueError("lyapunov audit requires noise_amplitude = 0")
     n_steps = config.steps if steps is None else steps
     gens = [np.random.default_rng(config.seed)]
-    energies, near = [], []
+    energies, frozen_rises = [], []
     for phi in _trajectory(system, config, n_steps, gens, np.ones(1, dtype=bool)):
-        energies.append(float(system.energy(phi[0])))
-        near.append(system.near_bumps(phi[0]))
-    changes = np.diff(energies)
-    touched = np.logical_or(near[:-1], near[1:])
+        state = phi[0]
+        if energies:
+            # frozen_energy(x)(x) equals energy(x), so the previous energy is reused
+            frozen_rises.append(float(frozen(state)) - energies[-1])
+        energies.append(float(system.energy(state)))
+        frozen = system.frozen_energy(state)
     return AuditReport(
         steps=n_steps, initial_energy=energies[0], final_energy=energies[-1],
         delta_energy=energies[-1] - energies[0],
-        max_step_increase=float(np.max(changes, initial=0.0)),
-        max_step_increase_clear=float(np.max(changes[~touched], initial=0.0)),
-        bump_steps=int(touched.sum()),
+        max_step_increase=float(np.max(np.diff(energies), initial=0.0)),
+        max_step_increase_clear=float(np.max(frozen_rises, initial=0.0)),
     )

@@ -38,7 +38,6 @@ _FALLBACK_CONSTANTS = (10.0, 10.0)
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
 _EXP_FLOOR = -700.0  # e^-700 ~ 1e-304 is negligible; exp underflows slowly below it
-_BUMP_MARGIN = 8.0  # beyond this many sigmas from its centre a bump is numerically zero
 
 
 def default_constants(k: int) -> tuple[float, float, bool]:
@@ -54,13 +53,6 @@ def wrap_angle(x):
     return x - TWO_PI * np.ceil(x / TWO_PI - 0.5)
 
 
-def _nearest_bump(delta, k: int):
-    """|delta|, and index j in 1..K-1 and centre 2*pi*j/K of its nearest bump."""
-    size = np.abs(delta)
-    j = np.clip(np.rint(size * (k / TWO_PI)), 1, k - 1)
-    return size, j, TWO_PI * j / k
-
-
 def phase_penalty(delta, k: int, sigma: float):
     """Gaussian-bump phase shift f(delta) for K partitions: the bump nearest
     to |delta|, centred at c_j = 2*pi*j/K with amplitude (2j-1)*pi - c_j and
@@ -71,7 +63,9 @@ def phase_penalty(delta, k: int, sigma: float):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     d = np.asarray(delta, dtype=float)
-    size, j, centre = _nearest_bump(d, k)
+    size = np.abs(d)
+    j = np.clip(np.rint(size * (k / TWO_PI)), 1, k - 1)
+    centre = TWO_PI * j / k
     bump = np.exp(np.maximum(-((size - centre) ** 2) / (2.0 * sigma**2), _EXP_FLOOR))
     return np.sign(d) * ((2.0 * j - 1.0) * np.pi - centre) * bump
 
@@ -141,14 +135,6 @@ class CutSystem:
         """Penalty values f(d_ij) at the current state (frozen-f helper)."""
         _, penalties, _ = self._pair_geometry(phases)
         return penalties
-
-    def near_bumps(self, phases) -> bool:
-        """True when some pair difference lies within the support of a penalty
-        bump, where the frozen-f drift is not the energy's gradient."""
-        phi = np.asarray(phases, dtype=float)
-        size, _, centre = _nearest_bump(wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j]),
-                                        self.k_partitions)
-        return bool(np.min(np.abs(size - centre)) < _BUMP_MARGIN * self.sigma)
 
     def frozen_energy(self, state):
         """Energy with f frozen at ``state``; ``drift`` is its exact negative

@@ -99,10 +99,6 @@ class NaeSystem:
     def num_spins(self) -> int:
         return self.num_vars
 
-    def near_bumps(self, phases) -> bool:
-        """Always False: the NAE energy has no penalty bumps."""
-        return False
-
     def frozen_energy(self, state):
         """The energy itself: ``drift`` is its exact negative gradient everywhere."""
         return self.energy

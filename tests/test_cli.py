@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hoim.cli import main
-from hoim.instances import parse_dimacs, parse_hypergraph
+from hoim.instances import format_hypergraph, generate_random_hypergraph, parse_dimacs, parse_hypergraph
 
 
 @pytest.fixture
@@ -99,6 +99,15 @@ def test_solve_requires_k_for_hypergraph(hyp_file):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--k", "3"), ("--sigma", "0.01")])
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_nae_sat_rejects_cut_only_flags(nae_file, command, flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--problem", "nae-sat", "--input", str(nae_file), flag, value])
+    assert excinfo.value.code == 2
+    assert f"{flag} applies to hyper-maxcut only" in capsys.readouterr().err
+
+
 def test_solve_missing_input_exits_2(tmp_path):
     assert main(["solve", "--problem", "nae-sat", "--input", str(tmp_path / "nope.cnf")]) == 2
 
@@ -182,3 +191,16 @@ def test_audit_huge_dt_fails(nae_file, capsys):
     assert main(["audit", "--problem", "nae-sat", "--input", str(nae_file),
                  "--steps", "200", "--dt", "1.0", "--seed", "0"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_audit_hypergraph_unstable_dt_fails(tmp_path, capsys):
+    # once phases settle every cut pair sits on a bump centre; the audit must
+    # still see the frozen energy rise at an unstable dt
+    path = tmp_path / "big.hyp"
+    path.write_text(format_hypergraph(generate_random_hypergraph(200, 400, 2, 4, seed=1)))
+    audit = ["audit", "--problem", "hyper-maxcut", "--k", "3", "--input", str(path),
+             "--steps", "300"]
+    assert main(audit + ["--dt", "0.05"]) == 1
+    assert "audit FAIL" in capsys.readouterr().out.splitlines()
+    assert main(audit) == 0
+    assert "audit PASS" in capsys.readouterr().out.splitlines()

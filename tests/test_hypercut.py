@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoim.hypercut import (
     CutSystem,
@@ -282,6 +283,40 @@ def test_drift_matches_frozen_penalty_gradient(k):
         fd = finite_diff_gradient(lambda x: system.energy(x, penalties=frozen), state, 1e-6)
         drift = system.drift(state)
         assert np.max(np.abs(drift + fd)) / np.max(np.abs(drift)) < 1e-4
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_frozen_energy_at_its_own_state_is_the_energy(k):
+    # the audit reuses energy(x) as frozen_energy(x)(x); they agree bit for bit
+    graph = generate_random_hypergraph(8, 12, 2, 4, seed=20 + k)
+    system = make_system(graph, k)
+    rng = np.random.default_rng(30 + k)
+    states = list(rng.uniform(0, 2 * np.pi, (100, 8)))
+    states += list(label_state(rng.integers(0, k, (100, 8)), k))
+    for state in states:
+        assert system.frozen_energy(state)(state) == system.energy(state)
+
+
+@st.composite
+def small_cut_problems(draw):
+    """A hypergraph on 3..8 nodes with edges of 2..4 nodes, K in 2..4, and phases."""
+    n = draw(st.integers(3, 8))
+    edge = st.lists(st.integers(1, n), min_size=2, max_size=min(4, n), unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), min_size=1, max_size=12))
+    k = draw(st.integers(2, 4))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
+    return make_system(Hypergraph(n, tuple(edges)), k), np.array(phases)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_cut_problems())
+def test_drift_is_negative_gradient_of_frozen_energy(problem):
+    system, state = problem
+    fd = finite_diff_gradient(system.frozen_energy(state), state, 1e-6)
+    drift = system.drift(state)
+    # relative to the drift, floored at 1 where the drift vanishes (e.g. all
+    # phases equal) and the ratio would only measure finite-difference rounding
+    assert np.max(np.abs(drift + fd)) / max(np.max(np.abs(drift)), 1.0) < 1e-4
 
 
 def test_leave_one_out_equals_quotient_form():
