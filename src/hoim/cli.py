@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -93,17 +94,7 @@ def cmd_solve(args) -> int:
     config = _solver_config(args, args.problem)
     result = run(system, config, instance)
 
-    echo.update({
-        "dt": config.dt,
-        "steps": config.steps,
-        "noise_amplitude": config.noise_amplitude,
-        "noise_schedule": config.noise_schedule,
-        "decay_step": config.decay_step,
-        "restarts": config.restarts,
-        "seed": config.seed,
-        "record_every": config.record_every,
-        "target": config.target,
-    })
+    echo.update(asdict(config))
     metric_cap = instance.num_clauses if args.problem == "nae-sat" else instance.num_edges
     document = {
         "config": echo,
@@ -113,15 +104,7 @@ def cmd_solve(args) -> int:
         "best_restart": result.best_restart,
         "best_step": result.best_step,
         "final_energy": result.final_energy,
-        "restarts": [
-            {
-                "restart": s.restart, "seed": s.seed, "steps_run": s.steps_run,
-                "stopped_early": s.stopped_early, "best_metric": s.best_metric,
-                "best_step": s.best_step, "final_metric": s.final_metric,
-                "final_energy": s.final_energy,
-            }
-            for s in result.restarts
-        ],
+        "restarts": [asdict(summary) for summary in result.restarts],
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

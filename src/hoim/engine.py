@@ -14,9 +14,10 @@ bit only inside a batch of the same ``restarts`` count, not as a solo run
 seeded ``seed + r`` (ROADMAP item 5).
 
 ``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``.  A
-system supplies ``num_spins``, ``energy``, ``drift`` and ``frozen_energy``,
-the function whose exact negative gradient ``drift`` is at a given state;
-the audit holds every step to it.
+system supplies ``instance``, the CNF or hypergraph it was built from (``run``
+accepts that instance only), ``num_spins``, ``energy``, ``drift`` and
+``frozen_energy``, the function whose exact negative gradient ``drift`` is at
+a given state; the audit holds every step to it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercut import CutSystem, count_cut, edge_nodes, snap_to_labels
-from .instances import CnfInstance, Hypergraph
 from .naesat import NaeSystem, snap_to_spins
 from .polynomial import clause_arrays, count_satisfied
 
@@ -53,19 +53,18 @@ class SolverConfig:
     seed: int = 0
     record_every: int = 100
     target: int | None = None
-    record_phases: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
+            raise ValueError("noise_amplitude must be non-negative and finite")
         if self.noise_schedule not in ("constant", "decay"):
             raise ValueError("noise_schedule must be 'constant' or 'decay'")
         if self.decay_step is None and self.noise_schedule == "decay":
@@ -88,7 +87,6 @@ class TraceRecord:
     step: int
     energy: float
     metric: int
-    phases: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -125,19 +123,14 @@ def wrap_phases(phases: np.ndarray) -> np.ndarray:
 
 
 def _dispatch(system, instance):
-    """Snap/metric hooks and dimension checks for the two system kinds."""
+    """Snap/metric hooks for the two system kinds, once ``instance`` is checked
+    to be the one the system was built from."""
+    if instance != system.instance:
+        raise ValueError("instance does not match the system")
     if isinstance(system, NaeSystem):
-        if not isinstance(instance, CnfInstance):
-            raise ValueError("NaeSystem requires a CnfInstance")
-        if instance.num_vars != system.num_vars or instance.num_clauses != system.num_clauses:
-            raise ValueError("instance dimensions do not match the system")
         clauses = clause_arrays(instance)
         return snap_to_spins, lambda snapped: count_satisfied(instance, snapped, clauses)
     if isinstance(system, CutSystem):
-        if not isinstance(instance, Hypergraph):
-            raise ValueError("CutSystem requires a Hypergraph")
-        if instance != system.hypergraph:
-            raise ValueError("instance does not match the system's hypergraph")
         k = system.k_partitions
         nodes = edge_nodes(instance)
         return lambda phi: snap_to_labels(phi, k), lambda snapped: count_cut(instance, snapped, nodes)
@@ -196,10 +189,8 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
         snapped = snap(phi)
         metrics = np.atleast_1d(metric_fn(snapped))
         for r in np.flatnonzero(active):
-            traces[r].append(TraceRecord(
-                restart=int(r), step=step_index, energy=float(energies[r]), metric=int(metrics[r]),
-                phases=phi[r].copy() if config.record_phases else None,
-            ))
+            traces[r].append(TraceRecord(restart=int(r), step=step_index,
+                                         energy=float(energies[r]), metric=int(metrics[r])))
             if metrics[r] > best_metric[r]:
                 best_metric[r] = int(metrics[r])
                 best_step[r] = step_index

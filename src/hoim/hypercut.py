@@ -74,7 +74,7 @@ def phase_penalty(delta, k: int, sigma: float):
 class CutSystem:
     """Energy/drift evaluator for Max-K-Cut on one hypergraph."""
 
-    hypergraph: Hypergraph
+    instance: Hypergraph
     k_partitions: int
     coupling: float
     harmonic: float
@@ -90,7 +90,7 @@ class CutSystem:
         if not 0 < self.sigma < 2.0 * np.pi / (8.0 * self.k_partitions):
             raise ValueError("sigma must be small relative to the lattice spacing 2*pi/K")
         # Pad pair lists to a rectangle with (first node, first node): factor 1, gain 0.
-        edges = self.hypergraph.hyperedges
+        edges = self.instance.hyperedges
         width = max(len(e) * (len(e) - 1) // 2 for e in edges)
         flat = []
         for e in edges:
@@ -98,7 +98,7 @@ class CutSystem:
             flat += e[:1] * (2 * width - len(e) * (len(e) - 1))
         index = np.array(flat, dtype=np.intp).reshape(len(edges), width, 2) - 1
         pair_i, pair_j = np.ascontiguousarray(np.moveaxis(index, -1, 0))
-        scatter = np.zeros((pair_i.size, self.hypergraph.num_nodes))
+        scatter = np.zeros((pair_i.size, self.instance.num_nodes))
         rows = np.arange(pair_i.size)
         scatter[rows, pair_i.ravel()] += 1.0
         scatter[rows, pair_j.ravel()] -= 1.0
@@ -111,7 +111,7 @@ class CutSystem:
                         harmonic: float | None = None, sigma: float | None = None) -> "CutSystem":
         a_default, as_default, _ = default_constants(k)
         return cls(
-            hypergraph=graph,
+            instance=graph,
             k_partitions=k,
             coupling=coupling if coupling is not None else a_default,
             harmonic=harmonic if harmonic is not None else as_default,
@@ -120,7 +120,7 @@ class CutSystem:
 
     @property
     def num_spins(self) -> int:
-        return self.hypergraph.num_nodes
+        return self.instance.num_nodes
 
     def _pair_geometry(self, phases, penalties=None):
         """Wrapped differences, penalties, and pair factors, shape (..., M, W)."""

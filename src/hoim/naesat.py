@@ -14,6 +14,9 @@ drift is the exact negative gradient: a term w cos(psi) contributes
 +/- C w sin(psi) to each member phase, the sign given by the member's
 position parity in the ascending tuple, and the pinning term contributes
 -C_s sin(2 phi_i).  Energy is then a Lyapunov function of the flow.
+
+A :class:`NaeSystem` holds the CNF instance it was built from and expands
+it once, on construction; ``engine.run`` scores against that instance only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import CnfInstance
-from .polynomial import InteractionPolynomial, build_objective
+from .polynomial import build_objective
 
 # Phase-coupling constants that work well per clause width; only K=4 is
 # tuned, other widths reuse it and are flagged as untuned defaults.
@@ -42,34 +45,28 @@ def default_constants(k: int) -> tuple[float, float, bool]:
 class NaeSystem:
     """Energy/drift evaluator for one NAE-K-SAT instance.
 
-    ``objective`` must contain even-order terms only; coefficients are the
-    integer couplings (indicator coefficients scaled by 2^(K-1)) and
-    ``num_clauses`` supplies the +1-per-clause energy offset.
+    The couplings are the indicator polynomial of ``instance`` scaled by
+    2^(K-1), so they are integers; the clause count supplies the
+    +1-per-clause energy offset.
     """
 
-    objective: InteractionPolynomial
+    instance: CnfInstance
     coupling: float
     harmonic: float
-    num_vars: int
-    num_clauses: int
 
     def __post_init__(self):
-        if any(order % 2 for order in self.objective.orders()):
-            raise ValueError("phase construction requires even-order terms only")
         if not (np.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError("coupling must be positive and finite")
         if not (np.isfinite(self.harmonic) and self.harmonic >= 0):
             raise ValueError("harmonic strength must be non-negative and finite")
-        if self.objective.terms and max(vs[-1] for vs, _ in self.objective.terms) > self.num_vars:
-            raise ValueError("term index exceeds num_vars")
         # Alternating-sign membership matrix (N, T): +1 at even positions of
         # the ascending tuple, -1 at odd.  psi = phi @ P, drift = sin @ P.T.
-        n = self.num_vars
-        t = len(self.objective.terms)
-        pattern = np.zeros((n, t))
-        weights = np.zeros(t)
-        for col, (variables, coeff) in enumerate(self.objective.terms):
-            weights[col] = float(coeff)
+        objective = build_objective(self.instance)
+        scale = 2 ** (self.instance.k - 1)  # dyadic coefficients: the product is exact
+        pattern = np.zeros((self.instance.num_vars, len(objective.terms)))
+        weights = np.zeros(len(objective.terms))
+        for col, (variables, coeff) in enumerate(objective.terms):
+            weights[col] = float(coeff) * scale
             for pos, v in enumerate(variables):
                 pattern[v - 1, col] = 1.0 if pos % 2 == 0 else -1.0
         object.__setattr__(self, "_pattern", pattern)
@@ -78,26 +75,18 @@ class NaeSystem:
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
                       harmonic: float | None = None) -> "NaeSystem":
-        """Build the system from a CNF instance, scaling the indicator
-        polynomial by 2^(K-1) so couplings are integers."""
+        """Build the system with the default constants for the clause width
+        wherever ``coupling`` or ``harmonic`` is left unset."""
         c_default, cs_default, _ = default_constants(instance.k)
-        poly = build_objective(instance)
-        scale = 2 ** (instance.k - 1)
-        scaled = InteractionPolynomial(
-            terms=tuple((vs, coeff * scale) for vs, coeff in poly.terms),
-            constant=poly.constant * scale,
-        )
         return cls(
-            objective=scaled,
+            instance=instance,
             coupling=coupling if coupling is not None else c_default,
             harmonic=harmonic if harmonic is not None else cs_default,
-            num_vars=instance.num_vars,
-            num_clauses=instance.num_clauses,
         )
 
     @property
     def num_spins(self) -> int:
-        return self.num_vars
+        return self.instance.num_vars
 
     def frozen_energy(self, state):
         """The energy itself: ``drift`` is its exact negative gradient everywhere."""
@@ -110,7 +99,7 @@ class NaeSystem:
     def energy(self, phases: np.ndarray) -> float | np.ndarray:
         """Lyapunov energy; supports leading batch dimensions."""
         phi = np.asarray(phases, dtype=float)
-        coupled = np.cos(self.alternating_sums(phi)) @ self._weights + self.num_clauses
+        coupled = np.cos(self.alternating_sums(phi)) @ self._weights + self.instance.num_clauses
         pinning = 0.5 * self.harmonic * np.cos(2.0 * phi).sum(axis=-1)
         out = self.coupling * coupled - pinning
         return float(out) if out.ndim == 0 else out

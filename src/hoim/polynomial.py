@@ -58,13 +58,6 @@ class InteractionPolynomial:
                 return c
         return Fraction(0)
 
-    @property
-    def max_order(self) -> int:
-        return max((len(vs) for vs, _ in self.terms), default=0)
-
-    def orders(self) -> set[int]:
-        return {len(vs) for vs, _ in self.terms}
-
 
 def make_polynomial(entries, constant=Fraction(0)) -> InteractionPolynomial:
     """Build a canonical polynomial from (variables, coefficient) pairs.

@@ -162,7 +162,7 @@ def test_criterion_5_lyapunov_descent():
         cfg = SolverConfig(dt=CUT_DT, steps=1000, noise_amplitude=0.0,
                            noise_schedule="constant", seed=i)
         rep = lyapunov_audit(system, cfg)
-        # descent bound applies away from penalty-bump neighborhoods
+        # descent bound holds on every step, pair penalties frozen at its start
         worst_increase_cut = max(worst_increase_cut, rep.max_step_increase_clear)
         worst_delta_cut = max(worst_delta_cut, rep.delta_energy)
     elapsed = time.time() - started

@@ -132,6 +132,17 @@ def test_solve_percent_inside_clause_exits_2(tmp_path, capsys):
     assert "non-integer token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("solve", "--dt", "nan", "dt"), ("solve", "--dt", "inf", "dt"),
+    ("audit", "--dt", "nan", "dt"), ("audit", "--dt", "inf", "dt"),
+    ("solve", "--noise", "nan", "noise_amplitude"),
+])
+def test_non_finite_step_or_noise_exits_2(nae_file, command, flag, value, message, capsys):
+    assert main([command, "--problem", "nae-sat", "--input", str(nae_file),
+                 "--steps", "10", flag, value]) == 2
+    assert f"error: {message} must be" in capsys.readouterr().err
+
+
 def test_solve_rerun_from_config_echo_is_bit_identical(nae_file, tmp_path):
     paths = []
     for tag in ("a", "b"):

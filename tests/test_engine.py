@@ -4,7 +4,8 @@ import pytest
 from hoim.engine import AuditReport, SolverConfig, lyapunov_audit, run
 from hoim.hypercut import CutSystem
 from hoim.instances import CnfInstance, generate_planted_nae, generate_random_hypergraph
-from hoim.naesat import NaeSystem
+from hoim.naesat import NaeSystem, snap_to_spins
+from hoim.polynomial import count_satisfied
 
 
 def nae_setup(seed=1, n=10, m=20, k=4):
@@ -28,6 +29,12 @@ def test_config_validation():
         SolverConfig(record_every=0)
     with pytest.raises(ValueError):
         SolverConfig(noise_schedule="warp")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SolverConfig(dt=bad)
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_amplitude"):
+            SolverConfig(noise_amplitude=bad)
 
 
 def test_decay_step_resolves_to_80_percent():
@@ -43,12 +50,14 @@ def test_decay_step_resolves_to_80_percent():
 def test_run_noise_free_is_explicit_euler():
     inst, system = nae_setup()
     cfg = SolverConfig(dt=1e-3, steps=20, noise_amplitude=0.0, noise_schedule="constant",
-                       restarts=1, seed=4, record_every=1, record_phases=True)
+                       restarts=1, seed=4, record_every=1)
     result = run(system, cfg, inst)
-    phi = np.random.default_rng(4).uniform(0, 2 * np.pi, 10)
+    # a (1, n) batch, as run evaluates its single restart
+    phi = np.random.default_rng(4).uniform(0, 2 * np.pi, (1, 10))
     assert [rec.step for rec in result.trace] == list(range(21))
     for rec in result.trace:
-        assert np.array_equal(rec.phases, phi)
+        assert rec.energy == float(system.energy(phi)[0])
+        assert rec.metric == count_satisfied(inst, snap_to_spins(phi))[0]
         phi = np.mod(phi + 1e-3 * system.drift(phi), 2 * np.pi)
 
 
@@ -89,17 +98,19 @@ def test_run_single_step_trace():
     assert [rec.step for rec in result.trace] == [0, 1]
 
 
-def test_run_rejects_mismatched_instance():
-    inst, system = nae_setup()
-    other = CnfInstance(3, ((1, 2, 3),))
-    cfg = SolverConfig(steps=10, restarts=1)
-    with pytest.raises(ValueError, match="dimensions"):
-        run(system, cfg, other)
-    graph, cut_system = cut_setup()
-    with pytest.raises(ValueError, match="CnfInstance"):
-        run(system, cfg, graph)
-    with pytest.raises(ValueError, match="Hypergraph"):
-        run(cut_system, cfg, inst)
+@pytest.mark.parametrize("system, instance", [
+    # same dimensions, other clauses
+    (nae_setup(seed=1)[1], nae_setup(seed=2)[0]),
+    (nae_setup()[1], CnfInstance(3, ((1, 2, 3),))),
+    (nae_setup()[1], cut_setup()[0]),
+    (cut_setup()[1], nae_setup()[0]),
+    # same size, other edges
+    (cut_setup(seed=1)[1], cut_setup(seed=2)[0]),
+], ids=["nae-same-dimensions", "nae-other-dimensions", "nae-given-hypergraph",
+        "cut-given-cnf", "cut-same-size"])
+def test_run_rejects_mismatched_instance(system, instance):
+    with pytest.raises(ValueError, match="does not match the system"):
+        run(system, SolverConfig(steps=10, restarts=1), instance)
 
 
 def test_run_deterministic_and_trace_monotone():
@@ -134,8 +145,6 @@ def test_run_best_tracking_and_restart_summaries():
     # winner is the first restart attaining the global best
     for summary in result.restarts[: result.best_restart]:
         assert summary.best_metric < result.best_metric
-    from hoim.polynomial import count_satisfied
-
     assert count_satisfied(inst, result.best_assignment) == result.best_metric
 
 
@@ -149,15 +158,6 @@ def test_run_early_stop_on_target():
             assert summary.steps_run < 20_000
             records = [rec for rec in result.trace if rec.restart == summary.restart]
             assert records[-1].metric >= 20
-
-
-def test_run_record_phases_option():
-    inst, system = nae_setup()
-    cfg = SolverConfig(steps=10, restarts=1, record_every=5, record_phases=True)
-    result = run(system, cfg, inst)
-    assert all(rec.phases is not None and rec.phases.shape == (10,) for rec in result.trace)
-    plain = run(system, SolverConfig(steps=10, restarts=1, record_every=5), inst)
-    assert all(rec.phases is None for rec in plain.trace)
 
 
 def test_run_cut_system_against_oracle():

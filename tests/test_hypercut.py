@@ -130,7 +130,7 @@ def test_padding_pairs_are_exact_identities():
 
 def masked_all_bump_energy_drift(system, phases):
     """Reference energy and drift: all-bump f, padding pairs masked out."""
-    graph, k = system.hypergraph, system.k_partitions
+    graph, k = system.instance, system.k_partitions
     width = max(len(e) * (len(e) - 1) // 2 for e in graph.hyperedges)
     pair_i, pair_j = np.zeros((2, graph.num_edges, width), dtype=int)
     mask = np.zeros((graph.num_edges, width), dtype=bool)
@@ -415,9 +415,9 @@ def test_k2_energy_reduces_to_pair_system_at_lattice():
 def test_sigma_invariant_enforced():
     graph = Hypergraph(3, ((1, 2, 3),))
     with pytest.raises(ValueError, match="sigma"):
-        CutSystem(hypergraph=graph, k_partitions=4, coupling=10.0, harmonic=10.0, sigma=0.2)
+        CutSystem(instance=graph, k_partitions=4, coupling=10.0, harmonic=10.0, sigma=0.2)
     with pytest.raises(ValueError):
-        CutSystem(hypergraph=graph, k_partitions=1, coupling=10.0, harmonic=10.0)
+        CutSystem(instance=graph, k_partitions=1, coupling=10.0, harmonic=10.0)
 
 
 def test_default_constants_flag():

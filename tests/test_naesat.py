@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hoim.instances import CnfInstance, generate_planted_nae
 from hoim.naesat import NaeSystem, default_constants, snap_to_spins
 from hoim.oracle import finite_diff_gradient
-from hoim.polynomial import count_satisfied
+from hoim.polynomial import build_objective, count_satisfied
 
 
 def lattice_state(spins):
@@ -117,14 +118,14 @@ def test_snap_recovers_plant_from_its_lattice():
     assert np.array_equal(snap_to_spins(lattice_state(plant)), plant)
 
 
-def test_odd_order_terms_rejected():
-    from fractions import Fraction
-
-    from hoim.polynomial import InteractionPolynomial
-
-    bad = InteractionPolynomial(terms=(((1, 2, 3), Fraction(1)),))
-    with pytest.raises(ValueError, match="even-order"):
-        NaeSystem(objective=bad, coupling=1.0, harmonic=1.0, num_vars=3, num_clauses=1)
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+def test_weights_are_the_exact_scaled_objective(k):
+    # the float product coeff * 2^(K-1) is exact because coefficients are dyadic
+    inst, _ = generate_planted_nae(k + 4, 12, k, seed=80 + k)
+    system = NaeSystem.from_instance(inst)
+    terms = build_objective(inst).terms
+    assert [Fraction(w) for w in system._weights] == [c * 2 ** (k - 1) for _, c in terms]
+    assert all(w == int(w) for w in system._weights)
 
 
 def test_default_constants_flag():
@@ -151,8 +152,6 @@ def test_wide_clause_extension(k):
 
 
 def test_clause_width_cap():
-    from hoim.polynomial import build_objective
-
     wide = CnfInstance(9, (tuple(range(1, 10)),))
     with pytest.raises(ValueError, match="width"):
         build_objective(wide)
