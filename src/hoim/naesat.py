@@ -9,24 +9,36 @@ couplings) plus a constant 1, so the energy
 
     E = C * (sum_t w_t cos(psi_t) + M) - (C_s/2) * sum_i cos(2 phi_i)
 
-equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.  The
-drift is the exact negative gradient: a term w cos(psi) contributes
-+/- C w sin(psi) to each member phase, the sign given by the member's
-position parity in the ascending tuple, and the pinning term contributes
+equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
+
+The couplings come straight from the clause arrays: a term's weight is the
+product of its literal signs, and equal tuples are merged.  Order-2 terms
+form a symmetric, zero-diagonal, integer-valued N x N matrix J; with
+c = cos(phi) and s = sin(phi), cos(phi_a - phi_b) = c_a c_b + s_a s_b, so
+their part of the sum is (c^T J c + s^T J s) / 2 and costs one cos and one
+sin per phase.  Orders >= 4 keep an alternating-sign (N, T) pattern with
+psi = phi @ pattern.  The drift is the exact negative gradient: the pairs
+give s * (J c) - c * (J s), a higher-order term w cos(psi) gives
++/- w sin(psi) to each member phase, the sign given by the member's
+position parity in the ascending tuple, and the pinning term gives
 -C_s sin(2 phi_i).  Energy is then a Lyapunov function of the flow.
 
-A :class:`NaeSystem` holds the CNF instance it was built from and expands
-it once, on construction; ``engine.run`` scores against that instance only.
+A :class:`NaeSystem` holds the CNF instance it was built from and builds
+its couplings once, on construction; ``engine.run`` scores against that
+instance only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .instances import CnfInstance
-from .polynomial import build_objective
+# re-exported: the benchmark tracer (perfbench/tracing.py) wraps naesat.build_objective
+from .polynomial import build_objective  # noqa: F401
+from .polynomial import check_clause_width, clause_arrays
 
 # Phase-coupling constants that work well per clause width; only K=4 is
 # tuned, other widths reuse it and are flagged as untuned defaults.
@@ -46,8 +58,9 @@ class NaeSystem:
     """Energy/drift evaluator for one NAE-K-SAT instance.
 
     The couplings are the indicator polynomial of ``instance`` scaled by
-    2^(K-1), so they are integers; the clause count supplies the
-    +1-per-clause energy offset.
+    2^(K-1), so they are integers: the order-2 terms in the matrix
+    ``_pairs`` (J), the orders >= 4 in ``_pattern`` and ``_weights``.  The
+    clause count supplies the +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -59,18 +72,34 @@ class NaeSystem:
             raise ValueError("coupling must be positive and finite")
         if not (np.isfinite(self.harmonic) and self.harmonic >= 0):
             raise ValueError("harmonic strength must be non-negative and finite")
-        # Alternating-sign membership matrix (N, T): +1 at even positions of
-        # the ascending tuple, -1 at odd.  psi = phi @ P, drift = sin @ P.T.
-        objective = build_objective(self.instance)
-        scale = 2 ** (self.instance.k - 1)  # dyadic coefficients: the product is exact
-        pattern = np.zeros((self.instance.num_vars, len(objective.terms)))
-        weights = np.zeros(len(objective.terms))
-        for col, (variables, coeff) in enumerate(objective.terms):
-            weights[col] = float(coeff) * scale
-            for pos, v in enumerate(variables):
-                pattern[v - 1, col] = 1.0 if pos % 2 == 0 else -1.0
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "_weights", weights)
+        check_clause_width(self.instance.k)
+        n, k = self.instance.num_vars, self.instance.k
+        variables, signs = clause_arrays(self.instance)
+        order = np.argsort(variables, axis=1)
+        variables = np.take_along_axis(variables, order, axis=1)
+        signs = np.take_along_axis(signs, order, axis=1)
+        pairs = np.zeros((n, n))
+        # seeded empty: widths 2 and 3 have no terms past the pairs
+        blocks, weights = [np.zeros((n, 0))], [np.zeros(0)]
+        for r in range(2, k + 1, 2):
+            # every r-subset of clause positions, merged across clauses
+            positions = np.array(list(combinations(range(k), r)))
+            tuples, inverse = np.unique(variables[:, positions].reshape(-1, r), axis=0,
+                                        return_inverse=True)
+            w = np.bincount(inverse.ravel(), weights=signs[:, positions].prod(axis=-1).ravel())
+            tuples, w = tuples[w != 0], w[w != 0]
+            if r == 2:
+                pairs[tuples[:, 0], tuples[:, 1]] = w
+                pairs[tuples[:, 1], tuples[:, 0]] = w
+                continue
+            # +1 at even positions of the ascending tuple, -1 at odd
+            block = np.zeros((n, len(w)))
+            block[tuples, np.arange(len(w))[:, None]] = (-1.0) ** np.arange(r)
+            blocks.append(block)
+            weights.append(w)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_pattern", np.hstack(blocks))
+        object.__setattr__(self, "_weights", np.concatenate(weights))
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
@@ -92,23 +121,23 @@ class NaeSystem:
         """The energy itself: ``drift`` is its exact negative gradient everywhere."""
         return self.energy
 
-    def alternating_sums(self, phases: np.ndarray) -> np.ndarray:
-        """psi_t = phi_a - phi_b + phi_c - ... for each term tuple."""
-        return np.asarray(phases, dtype=float) @ self._pattern
-
     def energy(self, phases: np.ndarray) -> float | np.ndarray:
         """Lyapunov energy; supports leading batch dimensions."""
         phi = np.asarray(phases, dtype=float)
-        coupled = np.cos(self.alternating_sums(phi)) @ self._weights + self.instance.num_clauses
-        pinning = 0.5 * self.harmonic * np.cos(2.0 * phi).sum(axis=-1)
-        out = self.coupling * coupled - pinning
+        c, s = np.cos(phi), np.sin(phi)
+        pairs = 0.5 * (c * (c @ self._pairs) + s * (s @ self._pairs)).sum(axis=-1)
+        higher = np.cos(phi @ self._pattern) @ self._weights
+        pinning = 0.5 * self.harmonic * (c * c - s * s).sum(axis=-1)  # cos 2phi
+        out = self.coupling * (pairs + higher + self.instance.num_clauses) - pinning
         return float(out) if out.ndim == 0 else out
 
     def drift(self, phases: np.ndarray) -> np.ndarray:
         """dphi/dt = -dE/dphi, evaluated analytically."""
         phi = np.asarray(phases, dtype=float)
-        sines = np.sin(self.alternating_sums(phi)) * self._weights
-        return self.coupling * (sines @ self._pattern.T) - self.harmonic * np.sin(2.0 * phi)
+        c, s = np.cos(phi), np.sin(phi)
+        higher = (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
+        coupled = s * (c @ self._pairs) - c * (s @ self._pairs) + higher
+        return self.coupling * coupled - 2.0 * self.harmonic * s * c  # sin 2phi = 2 s c
 
 
 def snap_to_spins(phases: np.ndarray) -> np.ndarray:

@@ -102,11 +102,16 @@ def expand_clause(literals) -> InteractionPolynomial:
     return make_polynomial(entries, constant=unit)
 
 
+def check_clause_width(k: int) -> None:
+    """Reject clause widths past ``MAX_CLAUSE_WIDTH`` (2^(K-1) - 1 terms per clause)."""
+    if k > MAX_CLAUSE_WIDTH:
+        raise ValueError(f"clause width {k} exceeds supported maximum {MAX_CLAUSE_WIDTH}")
+
+
 def build_objective(instance: CnfInstance) -> InteractionPolynomial:
     """Sum of per-clause indicators; its value at any assignment is the
     number of unsatisfied clauses, so minimizing it maximizes satisfaction."""
-    if instance.k > MAX_CLAUSE_WIDTH:
-        raise ValueError(f"clause width {instance.k} exceeds supported maximum {MAX_CLAUSE_WIDTH}")
+    check_clause_width(instance.k)
     entries = []
     constant = Fraction(0)
     for clause in instance.clauses:

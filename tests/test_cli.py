@@ -132,6 +132,13 @@ def test_solve_percent_inside_clause_exits_2(tmp_path, capsys):
     assert "non-integer token" in capsys.readouterr().err
 
 
+def test_solve_clause_width_past_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 9 1\n1 -2 3 4 5 6 7 8 9 0\n")
+    assert main(["solve", "--problem", "nae-sat", "--input", str(path), "--steps", "10"]) == 2
+    assert "clause width 9 exceeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("solve", "--dt", "nan", "dt"), ("solve", "--dt", "inf", "dt"),
     ("audit", "--dt", "nan", "dt"), ("audit", "--dt", "inf", "dt"),

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoim.instances import CnfInstance, generate_planted_nae
 from hoim.naesat import NaeSystem, default_constants, snap_to_spins
@@ -13,6 +14,29 @@ from hoim.polynomial import build_objective, count_satisfied
 def lattice_state(spins):
     """Phase 0 for +1, pi for -1."""
     return np.pi * (1 - np.asarray(spins, dtype=float)) / 2.0
+
+
+def dense_reference(system):
+    """The former all-orders form as (energy, drift): one alternating-sum
+    column per term of ``build_objective``, pairs included."""
+    inst = system.instance
+    terms = build_objective(inst).terms
+    pattern = np.zeros((inst.num_vars, len(terms)))
+    weights = np.zeros(len(terms))
+    for col, (variables, coeff) in enumerate(terms):
+        weights[col] = float(coeff) * 2 ** (inst.k - 1)
+        for pos, v in enumerate(variables):
+            pattern[v - 1, col] = 1.0 if pos % 2 == 0 else -1.0
+
+    def energy(phi):
+        coupled = np.cos(phi @ pattern) @ weights + inst.num_clauses
+        return system.coupling * coupled - 0.5 * system.harmonic * np.cos(2.0 * phi).sum(axis=-1)
+
+    def drift(phi):
+        coupled = (np.sin(phi @ pattern) * weights) @ pattern.T
+        return system.coupling * coupled - system.harmonic * np.sin(2.0 * phi)
+
+    return energy, drift
 
 
 def gradient_error(system, state):
@@ -120,12 +144,60 @@ def test_snap_recovers_plant_from_its_lattice():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_weights_are_the_exact_scaled_objective(k):
-    # the float product coeff * 2^(K-1) is exact because coefficients are dyadic
+    # J's upper triangle, then the (tuple, weight) columns of orders >= 4, are
+    # the objective's terms times 2^(K-1), exactly and in the same order
     inst, _ = generate_planted_nae(k + 4, 12, k, seed=80 + k)
     system = NaeSystem.from_instance(inst)
-    terms = build_objective(inst).terms
-    assert [Fraction(w) for w in system._weights] == [c * 2 ** (k - 1) for _, c in terms]
-    assert all(w == int(w) for w in system._weights)
+    pairs = system._pairs
+    assert np.array_equal(pairs, pairs.T)
+    assert not pairs.diagonal().any()
+    assert np.array_equal(pairs, np.round(pairs))
+    couplings = [((int(a) + 1, int(b) + 1), Fraction(pairs[a, b]))
+                 for a, b in zip(*np.nonzero(np.triu(pairs)))]
+    for column, weight in zip(system._pattern.T, system._weights):
+        members = np.flatnonzero(column)
+        assert np.array_equal(column[members], (-1.0) ** np.arange(len(members)))
+        couplings.append((tuple(int(v) + 1 for v in members), Fraction(weight)))
+    assert couplings == [(vs, c * 2 ** (k - 1)) for vs, c in build_objective(inst).terms]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 4)])
+def test_agrees_with_dense_alternating_form(k, batch):
+    # K = 2 and 3 have no terms past the pairs: the pattern is empty
+    inst, _ = generate_planted_nae(k + 6, 20, k, seed=100 + k)
+    system = NaeSystem.from_instance(inst)
+    energy, drift = dense_reference(system)
+    phi = np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, inst.num_vars))
+    for new, old in ((system.energy(phi), energy(phi)), (system.drift(phi), drift(phi))):
+        assert np.shape(new) == np.shape(old)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    if not batch:
+        assert type(system.energy(phi)) is float
+
+
+@st.composite
+def small_nae_problems(draw):
+    """A CNF of width K in 2..6 on K..8 variables with 1..10 clauses, and phases."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 8))
+    variables = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)
+    clause = st.tuples(variables, signs).map(lambda vs: tuple(v * s for v, s in zip(*vs)))
+    clauses = draw(st.lists(clause, min_size=1, max_size=10))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
+    return NaeSystem.from_instance(CnfInstance(n, tuple(clauses))), np.array(phases)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_nae_problems())
+def test_drift_is_negative_gradient_on_random_formulas(problem):
+    system, state = problem
+    fd = finite_diff_gradient(system.frozen_energy(state), state, 1e-6)
+    drift = system.drift(state)
+    # relative to the drift, floored at 1 where the drift vanishes (e.g. on
+    # the lattice) and the ratio would only measure finite-difference rounding
+    assert np.max(np.abs(drift + fd)) / max(np.max(np.abs(drift)), 1.0) < 1e-4
 
 
 def test_default_constants_flag():
@@ -155,3 +227,5 @@ def test_clause_width_cap():
     wide = CnfInstance(9, (tuple(range(1, 10)),))
     with pytest.raises(ValueError, match="width"):
         build_objective(wide)
+    with pytest.raises(ValueError, match="width"):
+        NaeSystem.from_instance(wide)
