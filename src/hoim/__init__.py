@@ -23,7 +23,6 @@ from .polynomial import (
     InteractionPolynomial,
     build_objective,
     count_satisfied,
-    dump_polynomial,
     evaluate,
     expand_clause,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "build_objective",
     "count_cut",
     "count_satisfied",
-    "dump_polynomial",
     "evaluate",
     "expand_clause",
     "format_dimacs",

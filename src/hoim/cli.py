@@ -159,11 +159,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_audit(args) -> int:
     instance, system, _echo = _load_problem(args)
-    config = SolverConfig(
-        dt=args.dt if args.dt is not None else DEFAULT_DT[args.problem],
-        steps=args.steps, noise_amplitude=0.0, noise_schedule="constant",
-        restarts=1, seed=args.seed, record_every=max(1, args.steps),
-    )
+    config = SolverConfig(dt=args.dt if args.dt is not None else DEFAULT_DT[args.problem],
+                          steps=args.steps, noise_amplitude=0.0, seed=args.seed)
     report = lyapunov_audit(system, config)
 
     rng = np.random.default_rng(args.seed)

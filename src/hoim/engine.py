@@ -5,13 +5,15 @@ The update is Euler-Maruyama with additive phase noise:
     phi' = wrap(phi + dt * drift(phi) + noise_amp * sqrt(dt) * xi)
 
 with xi standard normal.  Noise follows either a constant schedule or a
-linear decay that reaches zero at ``decay_step``.  Restart r draws its
+linear decay that reaches zero at 80% of ``steps``.  Restart r draws its
 initial phases and its entire noise stream from a generator seeded with
 ``seed + r``, so results are bit-reproducible for a fixed (instance,
 config).  The restarts are evolved together as one batch, and the drift's
 floating-point sums depend on the batch shape: restart r replays bit for
 bit only inside a batch of the same ``restarts`` count, not as a solo run
-seeded ``seed + r`` (ROADMAP item 5).
+seeded ``seed + r`` (ROADMAP item 2).  Every restart integrates to the end
+of the loop; ``target`` only stops a restart's recording, and the loop ends
+early once every restart has stopped.
 
 ``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``.  A
 system supplies ``instance``, the CNF or hypergraph it was built from (``run``
@@ -39,16 +41,14 @@ _NOISE_CHUNK = 256
 class SolverConfig:
     """Integration and restart settings.
 
-    ``decay_step`` is the step at which a decaying noise schedule reaches
-    zero; left unset it resolves to 80% of ``steps``.  ``target`` stops a
-    restart once its snapped metric reaches the given value.
+    A decaying noise schedule reaches zero at 80% of ``steps``.  ``target``
+    stops recording a restart once its snapped metric reaches the given value.
     """
 
     dt: float = 1e-3
     steps: int = 20_000
     noise_amplitude: float = 3.0
     noise_schedule: str = "decay"
-    decay_step: int | None = None
     restarts: int = 20
     seed: int = 0
     record_every: int = 100
@@ -67,8 +67,6 @@ class SolverConfig:
             raise ValueError("noise_amplitude must be non-negative and finite")
         if self.noise_schedule not in ("constant", "decay"):
             raise ValueError("noise_schedule must be 'constant' or 'decay'")
-        if self.decay_step is None and self.noise_schedule == "decay":
-            object.__setattr__(self, "decay_step", max(1, int(0.8 * self.steps)))
 
     def noise_at(self, step_index: int) -> float:
         """Noise amplitude applied when advancing from ``step_index``."""
@@ -76,9 +74,10 @@ class SolverConfig:
             return 0.0
         if self.noise_schedule == "constant":
             return self.noise_amplitude
-        if step_index >= self.decay_step:
+        decay_step = max(1, int(0.8 * self.steps))
+        if step_index >= decay_step:
             return 0.0
-        return self.noise_amplitude * (1.0 - step_index / self.decay_step)
+        return self.noise_amplitude * (1.0 - step_index / decay_step)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,9 @@ class TraceRecord:
 @dataclass(frozen=True)
 class RestartSummary:
     """Outcome of one restart.  ``seed`` replays it bit for bit only in a batch
-    of the same ``restarts`` count, not in a solo run (see the module docstring)."""
+    of the same ``restarts`` count, not in a solo run (see the module docstring).
+    ``stopped_early`` is ``steps_run < config.steps``: the restart reached
+    ``target`` before the last step, and its recording stopped there."""
 
     restart: int
     seed: int
@@ -118,10 +119,6 @@ class SolveResult:
     config: SolverConfig
 
 
-def wrap_phases(phases: np.ndarray) -> np.ndarray:
-    return np.mod(phases, TWO_PI)
-
-
 def _dispatch(system, instance):
     """Snap/metric hooks for the two system kinds, once ``instance`` is checked
     to be the one the system was built from."""
@@ -137,32 +134,31 @@ def _dispatch(system, instance):
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
-def _trajectory(system, config: SolverConfig, steps: int, gens, active):
+def _trajectory(system, config: SolverConfig, gens):
     """Yield the (restarts, num_spins) phases: the initial draw, then the state
-    after each of ``steps`` Euler-Maruyama steps.  Restart r draws from
-    ``gens[r]``.  Restarts whose ``active`` entry is False keep their phases
-    and draw no noise; the caller may clear entries between yields."""
+    after each of ``config.steps`` Euler-Maruyama steps of the whole batch.
+    Restart r draws from ``gens[r]``."""
     n = system.num_spins
     phi = np.stack([g.uniform(0.0, TWO_PI, n) for g in gens])
     yield phi
     sqrt_dt = math.sqrt(config.dt)
     noise_buf = np.zeros((len(gens), _NOISE_CHUNK, n))
     buf_pos = _NOISE_CHUNK
-    for s in range(1, steps + 1):
+    for s in range(1, config.steps + 1):
         amp = config.noise_at(s - 1)
         drift = system.drift(phi)
-        if not np.all(np.isfinite(drift[active])):
-            bad = int(np.flatnonzero(active & ~np.isfinite(drift).all(axis=-1))[0])
-            raise RuntimeError(f"non-finite drift in restart {bad} at step {s}")
-        update = phi + config.dt * drift
+        finite = np.isfinite(drift).all(axis=-1)
+        if not finite.all():
+            raise RuntimeError(f"non-finite drift in restart {int(np.flatnonzero(~finite)[0])} at step {s}")
+        phi = phi + config.dt * drift
         if amp > 0.0:
             if buf_pos >= _NOISE_CHUNK:
-                for r in np.flatnonzero(active):
-                    noise_buf[r] = gens[r].standard_normal((_NOISE_CHUNK, n))
+                for r, g in enumerate(gens):
+                    noise_buf[r] = g.standard_normal((_NOISE_CHUNK, n))
                 buf_pos = 0
-            update = update + amp * sqrt_dt * noise_buf[:, buf_pos]
+            phi = phi + amp * sqrt_dt * noise_buf[:, buf_pos]
             buf_pos += 1
-        phi = np.where(active[:, None], wrap_phases(update), phi)
+        phi = np.mod(phi, TWO_PI)
         yield phi
 
 
@@ -174,44 +170,39 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
     n_restarts = config.restarts
     gens = [np.random.default_rng(config.seed + r) for r in range(n_restarts)]
 
-    active = np.ones(n_restarts, dtype=bool)
-    stopped_early = np.zeros(n_restarts, dtype=bool)
+    active = np.ones(n_restarts, dtype=bool)  # restarts still recorded
     traces: list[list[TraceRecord]] = [[] for _ in range(n_restarts)]
     best_metric = np.full(n_restarts, -1, dtype=int)
     best_step = np.zeros(n_restarts, dtype=int)
     best_snap: list[np.ndarray | None] = [None] * n_restarts
 
-    def record(step_index: int, phi: np.ndarray):
+    for s, phi in enumerate(_trajectory(system, config, gens)):
+        if s % config.record_every and s < config.steps:
+            continue
         energies = system.energy(phi)
-        if not np.all(np.isfinite(energies[active])):
-            bad = int(np.flatnonzero(active & ~np.isfinite(energies))[0])
-            raise RuntimeError(f"non-finite energy in restart {bad} at step {step_index}")
+        bad = active & ~np.isfinite(energies)
+        if bad.any():
+            raise RuntimeError(f"non-finite energy in restart {int(np.flatnonzero(bad)[0])} at step {s}")
         snapped = snap(phi)
         metrics = np.atleast_1d(metric_fn(snapped))
         for r in np.flatnonzero(active):
-            traces[r].append(TraceRecord(restart=int(r), step=step_index,
+            traces[r].append(TraceRecord(restart=int(r), step=s,
                                          energy=float(energies[r]), metric=int(metrics[r])))
             if metrics[r] > best_metric[r]:
                 best_metric[r] = int(metrics[r])
-                best_step[r] = step_index
+                best_step[r] = s
                 best_snap[r] = np.array(snapped[r])
-            if config.target is not None and metrics[r] >= config.target:
-                active[r] = False
-                if step_index < config.steps:
-                    stopped_early[r] = True
-
-    for s, phi in enumerate(_trajectory(system, config, config.steps, gens, active)):
-        if s % config.record_every == 0 or s == config.steps:
-            record(s, phi)
-        if not active.any():
-            break
+        if config.target is not None:
+            active &= metrics < config.target
+            if not active.any():
+                break
 
     summaries = []
     for r in range(n_restarts):
         last = traces[r][-1]
         summaries.append(RestartSummary(
             restart=r, seed=config.seed + r, steps_run=last.step,
-            stopped_early=bool(stopped_early[r]), best_metric=int(best_metric[r]),
+            stopped_early=last.step < config.steps, best_metric=int(best_metric[r]),
             best_step=int(best_step[r]), final_metric=last.metric, final_energy=last.energy,
         ))
     winner = int(np.flatnonzero(best_metric == best_metric.max())[0])
@@ -247,18 +238,13 @@ class AuditReport:
     max_step_increase_clear: float
 
 
-def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> AuditReport:
-    """Track the energy along one noise-free trajectory (restart seed 0).
-
-    Requires ``config.noise_amplitude == 0``.  ``steps`` overrides
-    ``config.steps`` (0 is allowed and yields an empty report).
-    """
+def lyapunov_audit(system, config: SolverConfig) -> AuditReport:
+    """Track the energy along one noise-free trajectory of ``config.steps``
+    steps, seeded ``config.seed``.  Requires ``config.noise_amplitude == 0``."""
     if config.noise_amplitude != 0.0:
         raise ValueError("lyapunov audit requires noise_amplitude = 0")
-    n_steps = config.steps if steps is None else steps
-    gens = [np.random.default_rng(config.seed)]
     energies, frozen_rises = [], []
-    for phi in _trajectory(system, config, n_steps, gens, np.ones(1, dtype=bool)):
+    for phi in _trajectory(system, config, [np.random.default_rng(config.seed)]):
         state = phi[0]
         if energies:
             # frozen_energy(x)(x) equals energy(x), so the previous energy is reused
@@ -266,7 +252,7 @@ def lyapunov_audit(system, config: SolverConfig, steps: int | None = None) -> Au
         energies.append(float(system.energy(state)))
         frozen = system.frozen_energy(state)
     return AuditReport(
-        steps=n_steps, initial_energy=energies[0], final_energy=energies[-1],
+        steps=config.steps, initial_energy=energies[0], final_energy=energies[-1],
         delta_energy=energies[-1] - energies[0],
         max_step_increase=float(np.max(np.diff(energies), initial=0.0)),
         max_step_increase_clear=float(np.max(frozen_rises, initial=0.0)),

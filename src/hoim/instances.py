@@ -75,12 +75,17 @@ class CnfInstance:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A hypergraph; edges stored as sorted tuples of 1-based node indices."""
+    """A hypergraph; edges stored as sorted tuples of 1-based node indices.
+
+    The constructor sorts each edge, so graphs with the same edges in any
+    node order compare equal and ``format_hypergraph`` round-trips.
+    """
 
     num_nodes: int
     hyperedges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "hyperedges", tuple(tuple(sorted(e)) for e in self.hyperedges))
         if self.num_nodes < 1:
             raise InstanceError("num_nodes must be positive")
         if not self.hyperedges:
@@ -173,7 +178,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     edges = _split_on_zero(tokens, "hyperedge")
     if len(edges) != num_edges:
         raise InstanceError(f"header promises {num_edges} hyperedges, found {len(edges)}")
-    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(tuple(sorted(e)) for e in edges))
+    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(edges))
 
 
 def format_dimacs(instance: CnfInstance, comments: list[str] | None = None) -> str:

@@ -79,8 +79,7 @@ class NaeSystem:
         variables = np.take_along_axis(variables, order, axis=1)
         signs = np.take_along_axis(signs, order, axis=1)
         pairs = np.zeros((n, n))
-        # seeded empty: widths 2 and 3 have no terms past the pairs
-        blocks, weights = [np.zeros((n, 0))], [np.zeros(0)]
+        higher = []  # (tuples, weights) of each order >= 4; none for widths 2 and 3
         for r in range(2, k + 1, 2):
             # every r-subset of clause positions, merged across clauses
             positions = np.array(list(combinations(range(k), r)))
@@ -91,15 +90,19 @@ class NaeSystem:
             if r == 2:
                 pairs[tuples[:, 0], tuples[:, 1]] = w
                 pairs[tuples[:, 1], tuples[:, 0]] = w
-                continue
+            else:
+                higher.append((tuples, w))
+        # filled in place: the pattern is the build's largest array
+        pattern = np.zeros((n, sum(len(w) for _, w in higher)))
+        start = 0
+        for tuples, w in higher:
             # +1 at even positions of the ascending tuple, -1 at odd
-            block = np.zeros((n, len(w)))
-            block[tuples, np.arange(len(w))[:, None]] = (-1.0) ** np.arange(r)
-            blocks.append(block)
-            weights.append(w)
+            columns = start + np.arange(len(w))
+            pattern[tuples, columns[:, None]] = (-1.0) ** np.arange(tuples.shape[1])
+            start += len(w)
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_pattern", np.hstack(blocks))
-        object.__setattr__(self, "_weights", np.concatenate(weights))
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + [w for _, w in higher]))
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,

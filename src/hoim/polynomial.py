@@ -164,15 +164,6 @@ def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndar
     return satisfied
 
 
-def dump_polynomial(poly: InteractionPolynomial) -> str:
-    """Render as sorted ``coeff : i j k l`` lines (constant first) for
-    golden-file comparisons."""
-    lines = [f"{poly.constant} :"]
-    for variables, coeff in poly.terms:
-        lines.append(f"{coeff} : " + " ".join(str(v) for v in variables))
-    return "\n".join(lines) + "\n"
-
-
 def _normalize_literals(literals) -> list[tuple[int, int]]:
     out = []
     for lit in literals:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hoim.engine import AuditReport, SolverConfig, lyapunov_audit, run
+from hoim.engine import SolverConfig, lyapunov_audit, run
 from hoim.hypercut import CutSystem
 from hoim.instances import CnfInstance, generate_planted_nae, generate_random_hypergraph
 from hoim.naesat import NaeSystem, snap_to_spins
@@ -39,9 +41,9 @@ def test_config_validation():
 
 def test_decay_step_resolves_to_80_percent():
     cfg = SolverConfig(steps=1000, noise_schedule="decay")
-    assert cfg.decay_step == 800
     assert cfg.noise_at(0) == cfg.noise_amplitude
     assert cfg.noise_at(400) == pytest.approx(cfg.noise_amplitude / 2)
+    assert cfg.noise_at(799) == pytest.approx(cfg.noise_amplitude / 800)
     assert cfg.noise_at(800) == 0.0
     constant = SolverConfig(steps=1000, noise_schedule="constant", noise_amplitude=0.5)
     assert constant.noise_at(999) == 0.5
@@ -160,6 +162,25 @@ def test_run_early_stop_on_target():
             assert records[-1].metric >= 20
 
 
+@pytest.mark.parametrize("setup, dt, steps, target", [
+    (nae_setup, 1e-3, 300, 20),
+    (cut_setup, 1e-2, 40, 12),
+], ids=["nae", "cut"])
+def test_target_stops_recording_only(setup, dt, steps, target):
+    # a restart past its target keeps integrating, so the others' records do not change
+    instance, system = setup()
+    cfg = SolverConfig(dt=dt, steps=steps, restarts=6, seed=2, record_every=7)
+    free = run(system, cfg, instance)
+    stopped = run(system, replace(cfg, target=target), instance)
+    assert any(summary.stopped_early for summary in stopped.restarts)
+    assert not all(summary.stopped_early for summary in stopped.restarts)
+    for summary in stopped.restarts:
+        expected = [rec for rec in free.trace
+                    if rec.restart == summary.restart and rec.step <= summary.steps_run]
+        assert [rec for rec in stopped.trace if rec.restart == summary.restart] == expected
+        assert summary.stopped_early == (summary.steps_run < cfg.steps)
+
+
 def test_run_cut_system_against_oracle():
     graph = generate_random_hypergraph(10, 20, 2, 4, seed=1)
     from hoim.oracle import brute_force_maxkcut
@@ -176,16 +197,6 @@ def test_lyapunov_audit_requires_zero_noise():
     inst, system = nae_setup()
     with pytest.raises(ValueError, match="noise"):
         lyapunov_audit(system, SolverConfig(noise_amplitude=0.5))
-
-
-def test_lyapunov_audit_zero_steps_empty_report():
-    _, system = nae_setup()
-    cfg = SolverConfig(noise_amplitude=0.0, steps=100)
-    report = lyapunov_audit(system, cfg, steps=0)
-    assert report == AuditReport(
-        steps=0, initial_energy=report.initial_energy, final_energy=report.initial_energy,
-        delta_energy=0.0, max_step_increase=0.0, max_step_increase_clear=0.0,
-    )
 
 
 def test_lyapunov_audit_nae_descends():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoim.instances import (
     CnfInstance,
@@ -77,6 +78,40 @@ def test_hypergraph_round_trip_generated():
     for seed in range(5):
         g = generate_random_hypergraph(10, 20, 2, 4, seed=seed)
         assert parse_hypergraph(format_hypergraph(g)) == g
+
+
+# comment text on one line: str.splitlines also breaks on control and separator characters
+comments = st.lists(st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp"))), max_size=3)
+
+
+@st.composite
+def cnf_instances(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, n))
+    variables = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    clause = st.tuples(variables, st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    clauses = draw(st.lists(clause, min_size=1, max_size=10))
+    return CnfInstance(n, tuple(tuple(v * s for v, s in zip(*c)) for c in clauses))
+
+
+@st.composite
+def hypergraphs(draw):
+    # edges in any node order: the constructor sorts them
+    n = draw(st.integers(2, 8))
+    edge = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True)
+    return Hypergraph(n, tuple(map(tuple, draw(st.lists(edge, min_size=1, max_size=10)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cnf_instances(), comments)
+def test_cnf_round_trip_property(inst, notes):
+    assert parse_dimacs(format_dimacs(inst, notes)) == inst
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(hypergraphs(), comments)
+def test_hypergraph_round_trip_property(graph, notes):
+    assert parse_hypergraph(format_hypergraph(graph, notes)) == graph
 
 
 def test_planted_instance_is_satisfied_by_plant():

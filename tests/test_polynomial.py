@@ -10,7 +10,6 @@ from hoim.polynomial import (
     build_objective,
     clause_arrays,
     count_satisfied,
-    dump_polynomial,
     evaluate,
     expand_clause,
     make_polynomial,
@@ -173,17 +172,3 @@ def test_polynomial_canonicalization():
         InteractionPolynomial(terms=(((2, 1), Fraction(1)),))
     with pytest.raises(ValueError):
         InteractionPolynomial(terms=(((1, 2), Fraction(1)), ((1, 2), Fraction(2))))
-
-
-def test_dump_polynomial_golden():
-    poly = expand_clause([1, 2, -3, 4])
-    assert dump_polynomial(poly) == (
-        "1/8 :\n"
-        "1/8 : 1 2\n"
-        "-1/8 : 1 3\n"
-        "1/8 : 1 4\n"
-        "-1/8 : 2 3\n"
-        "1/8 : 2 4\n"
-        "-1/8 : 3 4\n"
-        "-1/8 : 1 2 3 4\n"
-    )
