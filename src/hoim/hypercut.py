@@ -22,6 +22,11 @@ dropped when differentiating), giving the leave-one-out form
                 - A_s * sin(K * phi_i)
 
 which avoids the 0/0 of dividing the indicator by a vanishing factor.
+
+Edges share pairs, so the wrap, the penalty, the cosine and the sine run
+once per distinct pair; the factors and gains are then gathered to the
+edge slots, each edge padded to W = C(max edge size, 2) slots that read
+factor 1 and gain 0.
 """
 
 from __future__ import annotations
@@ -72,7 +77,12 @@ def phase_penalty(delta, k: int, sigma: float):
 
 @dataclass(frozen=True)
 class CutSystem:
-    """Energy/drift evaluator for Max-K-Cut on one hypergraph."""
+    """Energy/drift evaluator for Max-K-Cut on one hypergraph.
+
+    The build numbers the P distinct node pairs (``_pair_i``, ``_pair_j``)
+    and gives each of the M x W edge slots its pair id (``_slots``); pad
+    slots take the extra id P.  ``_scatter`` maps slot gains to nodes, one
+    row per slot in slot order, pad rows zero."""
 
     instance: Hypergraph
     k_partitions: int
@@ -89,21 +99,28 @@ class CutSystem:
             raise ValueError("harmonic strength must be non-negative and finite")
         if not 0 < self.sigma < 2.0 * np.pi / (8.0 * self.k_partitions):
             raise ValueError("sigma must be small relative to the lattice spacing 2*pi/K")
-        # Pad pair lists to a rectangle with (first node, first node): factor 1, gain 0.
+        # one pass over the edges numbers the distinct pairs and fills the slots
         edges = self.instance.hyperedges
         width = max(len(e) * (len(e) - 1) // 2 for e in edges)
+        ids: dict[tuple[int, int], int] = {}
         flat = []
         for e in edges:
-            flat += chain.from_iterable(combinations(e, 2))
-            flat += e[:1] * (2 * width - len(e) * (len(e) - 1))
-        index = np.array(flat, dtype=np.intp).reshape(len(edges), width, 2) - 1
-        pair_i, pair_j = np.ascontiguousarray(np.moveaxis(index, -1, 0))
-        scatter = np.zeros((pair_i.size, self.instance.num_nodes))
-        rows = np.arange(pair_i.size)
-        scatter[rows, pair_i.ravel()] += 1.0
-        scatter[rows, pair_j.ravel()] -= 1.0
+            for pair in combinations(e, 2):
+                flat.append(ids.setdefault(pair, len(ids)))
+            flat += [-1] * (width - len(e) * (len(e) - 1) // 2)
+        num_pairs = len(ids)
+        slots = np.array(flat, dtype=np.intp).reshape(len(edges), width)
+        slots[slots < 0] = num_pairs
+        pairs = np.fromiter(chain.from_iterable(ids), np.intp, 2 * num_pairs).reshape(num_pairs, 2) - 1
+        pair_i, pair_j = np.ascontiguousarray(pairs.T)
+        # one scatter row per edge slot, in slot order; pad rows stay zero
+        rows = np.flatnonzero(slots < num_pairs)
+        scatter = np.zeros((slots.size, self.instance.num_nodes))
+        scatter[rows, pair_i[slots.flat[rows]]] = 1.0
+        scatter[rows, pair_j[slots.flat[rows]]] = -1.0
         object.__setattr__(self, "_pair_i", pair_i)
         object.__setattr__(self, "_pair_j", pair_j)
+        object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_scatter", scatter)
 
     @classmethod
@@ -122,19 +139,36 @@ class CutSystem:
     def num_spins(self) -> int:
         return self.instance.num_nodes
 
-    def _pair_geometry(self, phases, penalties=None):
-        """Wrapped differences, penalties, and pair factors, shape (..., M, W)."""
-        phi = np.asarray(phases, dtype=float)
-        deltas = wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j])
+    def _pair_deltas(self, phi):
+        """Wrapped differences d = wrap(phi_i - phi_j) per distinct pair, shape (..., P)."""
+        return wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j])
+
+    def _pair_geometry(self, phi, penalties=None, gains=False):
+        """Pair factors at the edge slots, shape (..., M, W), and with ``gains``
+        the drift gains (A/2) sin(d + f) there too (else None).  Both are
+        evaluated once per distinct pair; pad slots read factor 1 and gain 0."""
+        deltas = self._pair_deltas(phi)
         if penalties is None:
             penalties = phase_penalty(deltas, self.k_partitions, self.sigma)
-        factors = 0.5 * (1.0 + np.cos(deltas + penalties))
-        return deltas, penalties, factors
+        angles = deltas + penalties
+        factors = self._at_slots(0.5 * (1.0 + np.cos(angles)), 1.0)
+        if not gains:
+            return factors, None
+        return factors, self._at_slots(0.5 * self.coupling * np.sin(angles), 0.0)
+
+    def _at_slots(self, values, pad):
+        """Per-pair ``values`` (..., P) gathered to the edge slots (..., M, W);
+        pad slots read ``pad``."""
+        padded = np.empty((*values.shape[:-1], values.shape[-1] + 1))
+        padded[..., :-1] = values
+        padded[..., -1] = pad
+        return padded[..., self._slots]
 
     def pair_penalties(self, phases) -> np.ndarray:
-        """Penalty values f(d_ij) at the current state (frozen-f helper)."""
-        _, penalties, _ = self._pair_geometry(phases)
-        return penalties
+        """Penalty values f(d_ij) per distinct pair, shape (..., P), at the
+        current state (frozen-f helper)."""
+        deltas = self._pair_deltas(np.asarray(phases, dtype=float))
+        return phase_penalty(deltas, self.k_partitions, self.sigma)
 
     def frozen_energy(self, state):
         """Energy with f frozen at ``state``; ``drift`` is its exact negative
@@ -149,7 +183,7 @@ class CutSystem:
         state) to evaluate the energy with f frozen.
         """
         phi = np.asarray(phases, dtype=float)
-        _, _, factors = self._pair_geometry(phi, penalties)
+        factors, _ = self._pair_geometry(phi, penalties)
         indicators = factors.prod(axis=-1)
         pinning = (self.harmonic / self.k_partitions) * np.cos(self.k_partitions * phi).sum(axis=-1)
         out = self.coupling * indicators.sum(axis=-1) - pinning
@@ -158,8 +192,7 @@ class CutSystem:
     def drift(self, phases) -> np.ndarray:
         """dphi/dt with f treated as locally constant (leave-one-out form)."""
         phi = np.asarray(phases, dtype=float)
-        deltas, penalties, factors = self._pair_geometry(phi)
-        gain = 0.5 * self.coupling * np.sin(deltas + penalties)
+        factors, gain = self._pair_geometry(phi, gains=True)
         # times the product of the edge's other pair factors: exclusive prefix, then suffix
         others = np.ones_like(factors)
         np.cumprod(factors[..., :-1], axis=-1, out=others[..., 1:])

@@ -181,9 +181,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(edges))
 
 
+def _comment_lines(comments: list[str] | None) -> list[str]:
+    """One ``c`` line per line of each comment, so no comment text can leave
+    its comment line (``_tokenize`` splits with the same ``str.splitlines``)."""
+    return [f"c {piece}" for c in comments or [] for piece in c.splitlines()]
+
+
 def format_dimacs(instance: CnfInstance, comments: list[str] | None = None) -> str:
     """Serialize to DIMACS CNF; ``parse_dimacs`` round-trips the result."""
-    lines = [f"c {c}" for c in comments or []]
+    lines = _comment_lines(comments)
     lines.append(f"p cnf {instance.num_vars} {instance.num_clauses}")
     for clause in instance.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
@@ -192,7 +198,7 @@ def format_dimacs(instance: CnfInstance, comments: list[str] | None = None) -> s
 
 def format_hypergraph(graph: Hypergraph, comments: list[str] | None = None) -> str:
     """Serialize to ``p hyp`` text; ``parse_hypergraph`` round-trips the result."""
-    lines = [f"c {c}" for c in comments or []]
+    lines = _comment_lines(comments)
     lines.append(f"p hyp {graph.num_nodes} {graph.num_edges}")
     for edge in graph.hyperedges:
         lines.append(" ".join(str(n) for n in edge) + " 0")

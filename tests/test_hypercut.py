@@ -1,8 +1,9 @@
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hoim.hypercut import (
     CutSystem,
@@ -116,16 +117,88 @@ def make_system(graph, k, sigma=SIGMA, coupling=None, harmonic=None):
 
 
 def test_padding_pairs_are_exact_identities():
-    # the 2-node edge is padded to the 4-node edge's 6 pairs
+    # the 2-node edge is padded to the 4-node edge's 6 slots; no pair repeats
     graph = Hypergraph(5, ((1, 2), (2, 3, 4, 5)))
     system = make_system(graph, 3)
-    pad = system._pair_i == system._pair_j
+    num_pairs = system._pair_i.size
+    assert num_pairs == 7
+    pad = system._slots == num_pairs
     assert pad.sum() == 5
     phi = np.random.default_rng(21).uniform(0, 2 * np.pi, (4, 5))
-    deltas, penalties, factors = system._pair_geometry(phi)
+    factors, gains = system._pair_geometry(phi, gains=True)
     assert np.all(factors[..., pad] == 1.0)
-    assert np.all(np.sin(deltas + penalties)[..., pad] == 0.0)  # the pair's drift gain
+    assert np.all(gains[..., pad] == 0.0)  # the pair's drift gain
     assert not system._scatter[pad.ravel()].any()
+
+
+def padded_reference(system, phases, state):
+    """The former per-slot evaluation: wrap, penalty, cos and sin for every
+    one of the (M, W) edge slots, short edges padded with (first node, first
+    node).  Returns the energy and drift at ``phases`` and the energy there
+    with f frozen at ``state``."""
+    graph, k = system.instance, system.k_partitions
+    width = max(len(e) * (len(e) - 1) // 2 for e in graph.hyperedges)
+    flat = []
+    for e in graph.hyperedges:
+        flat += chain.from_iterable(combinations(e, 2))
+        flat += e[:1] * (2 * width - len(e) * (len(e) - 1))
+    index = np.array(flat, dtype=np.intp).reshape(graph.num_edges, width, 2) - 1
+    pair_i, pair_j = index[..., 0], index[..., 1]
+    scatter = np.zeros((pair_i.size, graph.num_nodes))
+    rows = np.arange(pair_i.size)
+    scatter[rows, pair_i.ravel()] += 1.0
+    scatter[rows, pair_j.ravel()] -= 1.0
+
+    def geometry(phi, penalties=None):
+        deltas = wrap_angle(phi[..., pair_i] - phi[..., pair_j])
+        if penalties is None:
+            penalties = phase_penalty(deltas, k, system.sigma)
+        return deltas, penalties, 0.5 * (1.0 + np.cos(deltas + penalties))
+
+    def energy(phi, penalties=None):
+        factors = geometry(phi, penalties)[2]
+        pinning = (system.harmonic / k) * np.cos(k * phi).sum(axis=-1)
+        return system.coupling * factors.prod(axis=-1).sum(axis=-1) - pinning
+
+    deltas, penalties, factors = geometry(phases)
+    gain = 0.5 * system.coupling * np.sin(deltas + penalties)
+    others = np.ones_like(factors)
+    np.cumprod(factors[..., :-1], axis=-1, out=others[..., 1:])
+    gain *= others
+    np.cumprod(factors[..., :0:-1], axis=-1, out=others[..., -2::-1])
+    others[..., -1] = 1.0
+    gain *= others
+    drift = gain.reshape(*gain.shape[:-2], -1) @ scatter - system.harmonic * np.sin(k * phases)
+    return energy(phases), drift, energy(phases, geometry(state)[1])
+
+
+@st.composite
+def overlapping_cut_batches(draw):
+    """Hypergraphs on 3..8 nodes with up to 30 edges of 2..5 nodes (so pairs
+    repeat across edges), K in 2..4, and a phase batch of shape (n,), (R, n)
+    or (2, R, n) with a second batch of the same shape to freeze f at; each
+    phase is uniform in [0, 2*pi] or on the label lattice."""
+    n = draw(st.integers(3, 8))
+    edge = st.lists(st.integers(1, n), min_size=2, max_size=min(5, n), unique=True)
+    edges = draw(st.lists(edge.map(tuple), min_size=1, max_size=30))
+    k = draw(st.integers(2, 4))
+    restarts = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(n,), (restarts, n), (2, restarts, n)]))
+    phase = st.floats(0.0, 2 * np.pi) | st.integers(0, k - 1).map(lambda j: 2 * np.pi * j / k)
+    phases, state = draw(arrays(float, shape, elements=phase)), draw(arrays(float, shape, elements=phase))
+    return make_system(Hypergraph(n, tuple(edges)), k), phases, state
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(overlapping_cut_batches())
+def test_distinct_pairs_match_padded_reference(problem):
+    system, phases, state = problem
+    distinct = {pair for e in system.instance.hyperedges for pair in combinations(e, 2)}
+    assert system._pair_i.size == len(distinct)
+    energy, drift, frozen = padded_reference(system, phases, state)
+    assert np.array_equal(system.energy(phases), energy)
+    assert np.array_equal(system.drift(phases), drift)
+    assert np.array_equal(system.frozen_energy(state)(phases), frozen)
 
 
 def masked_all_bump_energy_drift(system, phases):
@@ -232,6 +305,41 @@ def test_count_cut_vectorised_matches_edge_loop():
     assert count_cut(graph, labels[2, 3]) == want[2, 3]
 
 
+@st.composite
+def labelled_hypergraphs(draw):
+    """A hypergraph on 2..8 nodes, K in 2..4 and labels of batch shape (B1, B2)."""
+    n = draw(st.integers(2, 8))
+    edge = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True)
+    graph = Hypergraph(n, tuple(map(tuple, draw(st.lists(edge, min_size=1, max_size=12)))))
+    k = draw(st.integers(2, 4))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), n)
+    return graph, draw(arrays(int, shape, elements=st.integers(0, k - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(labelled_hypergraphs())
+def test_count_cut_batched_equals_scalar(problem):
+    graph, labels = problem
+    batched = count_cut(graph, labels)
+    assert np.array_equal(count_cut(graph, labels, edge_nodes(graph)), batched)
+    for idx in np.ndindex(labels.shape[:-1]):
+        single = count_cut(graph, labels[idx])
+        assert type(single) is int and single == batched[idx]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(2, 6), st.lists(st.tuples(st.floats(-20.0, 20.0), st.integers(-3, 3)),
+                                   min_size=1, max_size=20))
+def test_snap_to_labels_idempotent_on_lattice(k, draws):
+    # a lattice point, in any period, snaps to its own label
+    phases, turns = np.array(draws).T
+    labels = snap_to_labels(phases, k)
+    assert np.all((labels >= 0) & (labels < k))
+    lattice = label_state(labels, k)
+    assert np.array_equal(snap_to_labels(lattice, k), labels)
+    assert np.array_equal(snap_to_labels(lattice + 2 * np.pi * turns, k), labels)
+
+
 def test_lattice_energy_identity():
     graph = generate_random_hypergraph(10, 20, 2, 4, seed=1)
     rng = np.random.default_rng(4)
@@ -329,7 +437,7 @@ def test_leave_one_out_equals_quotient_form():
         checked = 0
         while checked < 20:
             phi = rng.uniform(0, 2 * np.pi, 8)
-            deltas, penalties, factors = system._pair_geometry(phi)
+            factors, gains = system._pair_geometry(phi, gains=True)
             if np.min(factors) <= 1e-9:  # padding factors are exactly 1
                 continue
             checked += 1
@@ -339,9 +447,7 @@ def test_leave_one_out_equals_quotient_form():
                 col = 0
                 for a in range(len(edge)):
                     for b in range(a + 1, len(edge)):
-                        gain = 0.5 * system.coupling \
-                            * np.sin(deltas[row, col] + penalties[row, col]) \
-                            * indicators[row] / factors[row, col]
+                        gain = gains[row, col] * indicators[row] / factors[row, col]
                         drift_quotient[edge[a] - 1] += gain
                         drift_quotient[edge[b] - 1] -= gain
                         col += 1

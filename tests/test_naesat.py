@@ -176,6 +176,18 @@ def test_agrees_with_dense_alternating_form(k, batch):
         assert type(system.energy(phi)) is float
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.floats(-20.0, 20.0), st.integers(-3, 3)), min_size=1, max_size=20))
+def test_snap_to_spins_idempotent_on_lattice(draws):
+    # 0 and pi, in any period, snap to their own spins
+    phases, turns = np.array(draws).T
+    spins = snap_to_spins(phases)
+    assert set(np.unique(spins)) <= {-1, 1}
+    lattice = lattice_state(spins)
+    assert np.array_equal(snap_to_spins(lattice), spins)
+    assert np.array_equal(snap_to_spins(lattice + 2 * np.pi * turns), spins)
+
+
 @st.composite
 def small_nae_problems(draw):
     """A CNF of width K in 2..6 on K..8 variables with 1..10 clauses, and phases."""

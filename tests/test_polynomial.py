@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hoim.instances import CnfInstance, generate_planted_nae
 from hoim.polynomial import (
@@ -149,6 +151,31 @@ def test_count_satisfied_batched():
     assert batched.shape == (5,)
     for row, want in zip(spins, batched):
         assert count_satisfied(inst, row) == want
+
+
+@st.composite
+def spin_batches(draw):
+    """A CNF of width K in 2..5 on K..8 variables with 1..10 clauses, and
+    spins of batch shape (B1, B2)."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 8))
+    variables = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)
+    clause = st.tuples(variables, signs).map(lambda vs: tuple(v * s for v, s in zip(*vs)))
+    inst = CnfInstance(n, tuple(draw(st.lists(clause, min_size=1, max_size=10))))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), n)
+    return inst, draw(arrays(int, shape, elements=st.sampled_from([-1, 1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spin_batches())
+def test_count_satisfied_batched_equals_scalar(problem):
+    inst, spins = problem
+    batched = count_satisfied(inst, spins)
+    assert np.array_equal(count_satisfied(inst, spins, clause_arrays(inst)), batched)
+    for idx in np.ndindex(spins.shape[:-1]):
+        single = count_satisfied(inst, spins[idx])
+        assert type(single) is int and single == batched[idx]
 
 
 def test_count_satisfied_prebuilt_clause_arrays():
