@@ -25,8 +25,9 @@ which avoids the 0/0 of dividing the indicator by a vanishing factor.
 
 Edges share pairs, so the wrap, the penalty, the cosine and the sine run
 once per distinct pair; the factors and gains are then gathered to the
-edge slots, each edge padded to W = C(max edge size, 2) slots that read
-factor 1 and gain 0.
+edge slots, each edge padded to W = C(max edge size, 2) slots.  Pad slots
+hold pair 0, node 1 paired with itself: its d is 0 and f(0) = 0, so it
+reads factor 1 and gain 0 exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import numpy as np
 
 from .instances import Hypergraph
 
-_TUNED_CONSTANTS = {2: (15.0, 10.0), 3: (15.0, 10.0), 4: (10.0, 10.0)}
-_FALLBACK_CONSTANTS = (10.0, 10.0)
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
 _EXP_FLOOR = -700.0  # e^-700 ~ 1e-304 is negligible; exp underflows slowly below it
@@ -47,9 +46,7 @@ _EXP_FLOOR = -700.0  # e^-700 ~ 1e-304 is negligible; exp underflows slowly belo
 
 def default_constants(k: int) -> tuple[float, float, bool]:
     """(coupling A, harmonic strength A_s, whether tuned for this K)."""
-    if k in _TUNED_CONSTANTS:
-        return (*_TUNED_CONSTANTS[k], True)
-    return (*_FALLBACK_CONSTANTS, False)
+    return (15.0 if k <= 3 else 10.0), 10.0, k <= 4
 
 
 def wrap_angle(x):
@@ -79,10 +76,11 @@ def phase_penalty(delta, k: int, sigma: float):
 class CutSystem:
     """Energy/drift evaluator for Max-K-Cut on one hypergraph.
 
-    The build numbers the P distinct node pairs (``_pair_i``, ``_pair_j``)
-    and gives each of the M x W edge slots its pair id (``_slots``); pad
-    slots take the extra id P.  ``_scatter`` maps slot gains to nodes, one
-    row per slot in slot order, pad rows zero."""
+    The build numbers the pad pair 0 and the P distinct node pairs 1..P
+    (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the M x W
+    edge slots its pair id (``_slots``); pad slots take id 0.
+    ``_scatter`` maps slot gains to nodes, one row per slot in slot order,
+    pad rows zero."""
 
     instance: Hypergraph
     k_partitions: int
@@ -99,25 +97,24 @@ class CutSystem:
             raise ValueError("harmonic strength must be non-negative and finite")
         if not 0 < self.sigma < 2.0 * np.pi / (8.0 * self.k_partitions):
             raise ValueError("sigma must be small relative to the lattice spacing 2*pi/K")
-        # one pass over the edges numbers the distinct pairs and fills the slots
+        # one pass over the edges numbers the distinct pairs and fills the
+        # slots; the pad (node 1 with itself) is registered first, as pair 0
         edges = self.instance.hyperedges
         width = max(len(e) * (len(e) - 1) // 2 for e in edges)
-        ids: dict[tuple[int, int], int] = {}
+        ids = {(1, 1): 0}
         flat = []
         for e in edges:
             for pair in combinations(e, 2):
                 flat.append(ids.setdefault(pair, len(ids)))
-            flat += [-1] * (width - len(e) * (len(e) - 1) // 2)
-        num_pairs = len(ids)
+            flat += [0] * (width - len(e) * (len(e) - 1) // 2)
         slots = np.array(flat, dtype=np.intp).reshape(len(edges), width)
-        slots[slots < 0] = num_pairs
-        pairs = np.fromiter(chain.from_iterable(ids), np.intp, 2 * num_pairs).reshape(num_pairs, 2) - 1
+        pairs = np.fromiter(chain.from_iterable(ids), np.intp, 2 * len(ids)).reshape(-1, 2) - 1
         pair_i, pair_j = np.ascontiguousarray(pairs.T)
-        # one scatter row per edge slot, in slot order; pad rows stay zero
-        rows = np.flatnonzero(slots < num_pairs)
+        # one scatter row per edge slot, in slot order; a pad row's +1 and -1 cancel
+        rows = np.arange(slots.size)
         scatter = np.zeros((slots.size, self.instance.num_nodes))
-        scatter[rows, pair_i[slots.flat[rows]]] = 1.0
-        scatter[rows, pair_j[slots.flat[rows]]] = -1.0
+        scatter[rows, pair_i[slots.ravel()]] += 1.0
+        scatter[rows, pair_j[slots.ravel()]] -= 1.0
         object.__setattr__(self, "_pair_i", pair_i)
         object.__setattr__(self, "_pair_j", pair_j)
         object.__setattr__(self, "_slots", slots)
@@ -140,33 +137,20 @@ class CutSystem:
         return self.instance.num_nodes
 
     def _pair_deltas(self, phi):
-        """Wrapped differences d = wrap(phi_i - phi_j) per distinct pair, shape (..., P)."""
+        """Wrapped differences d = wrap(phi_i - phi_j) per pair, shape (..., P+1)."""
         return wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j])
 
-    def _pair_geometry(self, phi, penalties=None, gains=False):
-        """Pair factors at the edge slots, shape (..., M, W), and with ``gains``
-        the drift gains (A/2) sin(d + f) there too (else None).  Both are
-        evaluated once per distinct pair; pad slots read factor 1 and gain 0."""
+    def _pair_angles(self, phi, penalties=None):
+        """d + f(d) per pair, shape (..., P+1); index it with ``_slots`` to
+        reach the edge slots."""
         deltas = self._pair_deltas(phi)
         if penalties is None:
             penalties = phase_penalty(deltas, self.k_partitions, self.sigma)
-        angles = deltas + penalties
-        factors = self._at_slots(0.5 * (1.0 + np.cos(angles)), 1.0)
-        if not gains:
-            return factors, None
-        return factors, self._at_slots(0.5 * self.coupling * np.sin(angles), 0.0)
-
-    def _at_slots(self, values, pad):
-        """Per-pair ``values`` (..., P) gathered to the edge slots (..., M, W);
-        pad slots read ``pad``."""
-        padded = np.empty((*values.shape[:-1], values.shape[-1] + 1))
-        padded[..., :-1] = values
-        padded[..., -1] = pad
-        return padded[..., self._slots]
+        return deltas + penalties
 
     def pair_penalties(self, phases) -> np.ndarray:
-        """Penalty values f(d_ij) per distinct pair, shape (..., P), at the
-        current state (frozen-f helper)."""
+        """Penalty values f(d_ij) per pair, pad included, shape (..., P+1),
+        at the current state (frozen-f helper)."""
         deltas = self._pair_deltas(np.asarray(phases, dtype=float))
         return phase_penalty(deltas, self.k_partitions, self.sigma)
 
@@ -183,8 +167,8 @@ class CutSystem:
         state) to evaluate the energy with f frozen.
         """
         phi = np.asarray(phases, dtype=float)
-        factors, _ = self._pair_geometry(phi, penalties)
-        indicators = factors.prod(axis=-1)
+        factors = 0.5 * (1.0 + np.cos(self._pair_angles(phi, penalties)))
+        indicators = factors[..., self._slots].prod(axis=-1)
         pinning = (self.harmonic / self.k_partitions) * np.cos(self.k_partitions * phi).sum(axis=-1)
         out = self.coupling * indicators.sum(axis=-1) - pinning
         return float(out) if out.ndim == 0 else out
@@ -192,7 +176,9 @@ class CutSystem:
     def drift(self, phases) -> np.ndarray:
         """dphi/dt with f treated as locally constant (leave-one-out form)."""
         phi = np.asarray(phases, dtype=float)
-        factors, gain = self._pair_geometry(phi, gains=True)
+        angles = self._pair_angles(phi)
+        factors = (0.5 * (1.0 + np.cos(angles)))[..., self._slots]
+        gain = (0.5 * self.coupling * np.sin(angles))[..., self._slots]
         # times the product of the edge's other pair factors: exclusive prefix, then suffix
         others = np.ones_like(factors)
         np.cumprod(factors[..., :-1], axis=-1, out=others[..., 1:])

@@ -40,17 +40,11 @@ from .instances import CnfInstance
 from .polynomial import build_objective  # noqa: F401
 from .polynomial import check_clause_width, clause_arrays
 
-# Phase-coupling constants that work well per clause width; only K=4 is
-# tuned, other widths reuse it and are flagged as untuned defaults.
-_TUNED_CONSTANTS = {4: (10.0 / 8.0, 5.0)}
-_FALLBACK_CONSTANTS = (10.0 / 8.0, 5.0)
-
 
 def default_constants(k: int) -> tuple[float, float, bool]:
-    """(coupling C, harmonic strength C_s, whether tuned for this K)."""
-    if k in _TUNED_CONSTANTS:
-        return (*_TUNED_CONSTANTS[k], True)
-    return (*_FALLBACK_CONSTANTS, False)
+    """(coupling C, harmonic strength C_s, whether tuned for this K).  Only
+    K=4 is tuned; other widths reuse its constants, flagged as untuned."""
+    return 10.0 / 8.0, 5.0, k == 4
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,10 @@ def make_polynomial(entries, constant=Fraction(0)) -> InteractionPolynomial:
 def expand_clause(literals) -> InteractionPolynomial:
     """Expand one clause's NAE-unsatisfied indicator into spin monomials.
 
-    ``literals`` is a sequence of signed variable indices (or (var, sign)
-    pairs).  The result evaluates to 1 when all literal values are equal
-    and 0 otherwise.  Only even-order terms appear; every coefficient has
-    magnitude 2^-(K-1) with sign equal to the product of the subset's
-    literal signs.
+    ``literals`` is a sequence of signed variable indices.  The result
+    evaluates to 1 when all literal values are equal and 0 otherwise.
+    Only even-order terms appear; every coefficient has magnitude
+    2^-(K-1) with sign equal to the product of the subset's literal signs.
     """
     lits = _normalize_literals(literals)
     k = len(lits)
@@ -167,11 +166,7 @@ def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndar
 def _normalize_literals(literals) -> list[tuple[int, int]]:
     out = []
     for lit in literals:
-        if isinstance(lit, tuple):
-            v, s = lit
-        else:
-            v, s = abs(int(lit)), (1 if int(lit) > 0 else -1)
-        if v < 1 or s not in (-1, 1):
+        if int(lit) == 0:
             raise ValueError(f"bad literal {lit!r}")
-        out.append((int(v), int(s)))
+        out.append((abs(int(lit)), 1 if int(lit) > 0 else -1))
     return out

@@ -116,19 +116,33 @@ def make_system(graph, k, sigma=SIGMA, coupling=None, harmonic=None):
     return CutSystem.from_hypergraph(graph, k, coupling=coupling, harmonic=harmonic, sigma=sigma)
 
 
-def test_padding_pairs_are_exact_identities():
-    # the 2-node edge is padded to the 4-node edge's 6 slots; no pair repeats
-    graph = Hypergraph(5, ((1, 2), (2, 3, 4, 5)))
-    system = make_system(graph, 3)
-    num_pairs = system._pair_i.size
-    assert num_pairs == 7
-    pad = system._slots == num_pairs
-    assert pad.sum() == 5
-    phi = np.random.default_rng(21).uniform(0, 2 * np.pi, (4, 5))
-    factors, gains = system._pair_geometry(phi, gains=True)
+def slot_factors_and_gains(system, phi):
+    """Pair factors and drift gains (A/2) sin(d + f) at the edge slots, (..., M, W)."""
+    angles = system._pair_angles(phi)
+    factors = 0.5 * (1.0 + np.cos(angles))
+    gains = 0.5 * system.coupling * np.sin(angles)
+    return factors[..., system._slots], gains[..., system._slots]
+
+
+def assert_pads_exact(system, num_pairs, num_pads):
+    assert system._pair_i.size == num_pairs + 1  # pair 0 is the pad
+    pad = system._slots == 0
+    assert pad.sum() == num_pads
+    phi = np.random.default_rng(21).uniform(0, 2 * np.pi, (4, system.num_spins))
+    factors, gains = slot_factors_and_gains(system, phi)
     assert np.all(factors[..., pad] == 1.0)
     assert np.all(gains[..., pad] == 0.0)  # the pair's drift gain
     assert not system._scatter[pad.ravel()].any()
+
+
+def test_padding_pairs_are_exact_identities():
+    # the 2-node edge is padded to the 4-node edge's 6 slots; no pair repeats
+    assert_pads_exact(make_system(Hypergraph(5, ((1, 2), (2, 3, 4, 5))), 3), 7, 5)
+
+
+def test_padding_pairs_exact_when_node_1_is_in_no_edge():
+    # the pad pair (node 1 with itself) reads d = 0 even though node 1 is free
+    assert_pads_exact(make_system(Hypergraph(5, ((2, 3), (2, 4, 5))), 3), 4, 2)
 
 
 def padded_reference(system, phases, state):
@@ -177,14 +191,16 @@ def overlapping_cut_batches(draw):
     """Hypergraphs on 3..8 nodes with up to 30 edges of 2..5 nodes (so pairs
     repeat across edges), K in 2..4, and a phase batch of shape (n,), (R, n)
     or (2, R, n) with a second batch of the same shape to freeze f at; each
-    phase is uniform in [0, 2*pi] or on the label lattice."""
+    phase is uniform in [0, 2*pi], on the label lattice, or any finite value
+    in [-1e3, 1e3] (where the pad pair's d must still be exactly 0)."""
     n = draw(st.integers(3, 8))
     edge = st.lists(st.integers(1, n), min_size=2, max_size=min(5, n), unique=True)
     edges = draw(st.lists(edge.map(tuple), min_size=1, max_size=30))
     k = draw(st.integers(2, 4))
     restarts = draw(st.integers(1, 4))
     shape = draw(st.sampled_from([(n,), (restarts, n), (2, restarts, n)]))
-    phase = st.floats(0.0, 2 * np.pi) | st.integers(0, k - 1).map(lambda j: 2 * np.pi * j / k)
+    phase = (st.floats(0.0, 2 * np.pi) | st.integers(0, k - 1).map(lambda j: 2 * np.pi * j / k)
+             | st.floats(-1e3, 1e3))
     phases, state = draw(arrays(float, shape, elements=phase)), draw(arrays(float, shape, elements=phase))
     return make_system(Hypergraph(n, tuple(edges)), k), phases, state
 
@@ -194,7 +210,8 @@ def overlapping_cut_batches(draw):
 def test_distinct_pairs_match_padded_reference(problem):
     system, phases, state = problem
     distinct = {pair for e in system.instance.hyperedges for pair in combinations(e, 2)}
-    assert system._pair_i.size == len(distinct)
+    assert system._pair_i.size == len(distinct) + 1
+    assert (system._pair_i[0], system._pair_j[0]) == (0, 0)  # the pad pair
     energy, drift, frozen = padded_reference(system, phases, state)
     assert np.array_equal(system.energy(phases), energy)
     assert np.array_equal(system.drift(phases), drift)
@@ -437,7 +454,7 @@ def test_leave_one_out_equals_quotient_form():
         checked = 0
         while checked < 20:
             phi = rng.uniform(0, 2 * np.pi, 8)
-            factors, gains = system._pair_geometry(phi, gains=True)
+            factors, gains = slot_factors_and_gains(system, phi)
             if np.min(factors) <= 1e-9:  # padding factors are exactly 1
                 continue
             checked += 1

@@ -101,6 +101,8 @@ def test_expand_clause_rejects_duplicates():
         expand_clause([1, -1])
     with pytest.raises(ValueError):
         expand_clause([2])
+    with pytest.raises(ValueError, match="bad literal"):
+        expand_clause([1, 0])
 
 
 def test_build_objective_single_pair_clause():
