@@ -6,7 +6,7 @@ result plus a CSV trace), ``generate`` (write instance files),
 energy-descent and gradient checks).
 
 Exit codes: 0 success, 1 internal numerical failure or audit tolerance
-breach, 2 invalid input or flags.
+breach, 2 invalid input or flags, or an instance too large to allocate.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
                 parser.error(f"--{flag} applies to hyper-maxcut only")
     try:
         return args.func(args)
-    except (InstanceError, OSError, ValueError) as exc:
+    except (InstanceError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:

@@ -70,8 +70,6 @@ class SolverConfig:
 
     def noise_at(self, step_index: int) -> float:
         """Noise amplitude applied when advancing from ``step_index``."""
-        if self.noise_amplitude == 0.0:
-            return 0.0
         if self.noise_schedule == "constant":
             return self.noise_amplitude
         decay_step = max(1, int(0.8 * self.steps))
@@ -172,9 +170,7 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
 
     active = np.ones(n_restarts, dtype=bool)  # restarts still recorded
     traces: list[list[TraceRecord]] = [[] for _ in range(n_restarts)]
-    best_metric = np.full(n_restarts, -1, dtype=int)
-    best_step = np.zeros(n_restarts, dtype=int)
-    best_snap: list[np.ndarray | None] = [None] * n_restarts
+    best = [(-1, 0, None)] * n_restarts  # (metric, first step at it, assignment)
 
     for s, phi in enumerate(_trajectory(system, config, gens)):
         if s % config.record_every and s < config.steps:
@@ -184,14 +180,12 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
         if bad.any():
             raise RuntimeError(f"non-finite energy in restart {int(np.flatnonzero(bad)[0])} at step {s}")
         snapped = snap(phi)
-        metrics = np.atleast_1d(metric_fn(snapped))
+        metrics = metric_fn(snapped)
         for r in np.flatnonzero(active):
             traces[r].append(TraceRecord(restart=int(r), step=s,
                                          energy=float(energies[r]), metric=int(metrics[r])))
-            if metrics[r] > best_metric[r]:
-                best_metric[r] = int(metrics[r])
-                best_step[r] = s
-                best_snap[r] = np.array(snapped[r])
+            if metrics[r] > best[r][0]:
+                best[r] = (int(metrics[r]), s, np.array(snapped[r]))
         if config.target is not None:
             active &= metrics < config.target
             if not active.any():
@@ -202,15 +196,16 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
         last = traces[r][-1]
         summaries.append(RestartSummary(
             restart=r, seed=config.seed + r, steps_run=last.step,
-            stopped_early=last.step < config.steps, best_metric=int(best_metric[r]),
-            best_step=int(best_step[r]), final_metric=last.metric, final_energy=last.energy,
+            stopped_early=last.step < config.steps, best_metric=best[r][0],
+            best_step=best[r][1], final_metric=last.metric, final_energy=last.energy,
         ))
-    winner = int(np.flatnonzero(best_metric == best_metric.max())[0])
+    winner = max(range(n_restarts), key=lambda r: best[r][0])  # ties: lowest restart
+    metric, step, assignment = best[winner]
     return SolveResult(
-        best_metric=int(best_metric[winner]),
-        best_assignment=best_snap[winner],
+        best_metric=metric,
+        best_assignment=assignment,
         best_restart=winner,
-        best_step=int(best_step[winner]),
+        best_step=step,
         final_energy=summaries[winner].final_energy,
         trace=tuple(rec for r in range(n_restarts) for rec in traces[r]),
         restarts=tuple(summaries),

@@ -180,12 +180,8 @@ class CutSystem:
         factors = (0.5 * (1.0 + np.cos(angles)))[..., self._slots]
         gain = (0.5 * self.coupling * np.sin(angles))[..., self._slots]
         # times the product of the edge's other pair factors: exclusive prefix, then suffix
-        others = np.ones_like(factors)
-        np.cumprod(factors[..., :-1], axis=-1, out=others[..., 1:])
-        gain *= others
-        np.cumprod(factors[..., :0:-1], axis=-1, out=others[..., -2::-1])
-        others[..., -1] = 1.0
-        gain *= others
+        gain[..., 1:] *= np.cumprod(factors[..., :-1], axis=-1)
+        gain[..., :-1] *= np.cumprod(factors[..., :0:-1], axis=-1)[..., ::-1]
         flat = gain.reshape(*gain.shape[:-2], -1)
         return flat @ self._scatter - self.harmonic * np.sin(self.k_partitions * phi)
 

@@ -158,9 +158,7 @@ def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndar
     values = signs * np.asarray(spins)[..., variables]  # (..., M, K)
     all_equal = np.all(values == values[..., :1], axis=-1)
     satisfied = instance.num_clauses - all_equal.sum(axis=-1)
-    if satisfied.ndim == 0:
-        return int(satisfied)
-    return satisfied
+    return int(satisfied) if satisfied.ndim == 0 else satisfied
 
 
 def _normalize_literals(literals) -> list[tuple[int, int]]:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hoim.cli import main
+from hoim.hypercut import CutSystem
 from hoim.instances import format_hypergraph, generate_random_hypergraph, parse_dimacs, parse_hypergraph
+from hoim.naesat import NaeSystem
 
 
 @pytest.fixture
@@ -172,6 +174,25 @@ def test_solve_rerun_from_config_echo_is_bit_identical(nae_file, tmp_path):
         paths.append((out, trace))
     assert paths[0][0].read_text() == paths[1][0].read_text()
     assert paths[0][1].read_text() == paths[1][1].read_text()
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("problem", ["nae-sat", "hyper-maxcut"])
+def test_instance_too_large_to_allocate_exits_2(nae_file, hyp_file, command, problem,
+                                                monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    if problem == "nae-sat":
+        monkeypatch.setattr(NaeSystem, "from_instance", too_large)
+        args = ["--input", str(nae_file)]
+    else:
+        monkeypatch.setattr(CutSystem, "from_hypergraph", too_large)
+        args = ["--input", str(hyp_file), "--k", "3"]
+    assert main([command, "--problem", problem, *args, "--steps", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 74.5 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_oracle_command_nae(nae_file, capsys):

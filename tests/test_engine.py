@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hoim.engine import SolverConfig, lyapunov_audit, run
-from hoim.hypercut import CutSystem
+from hoim.hypercut import CutSystem, count_cut, snap_to_labels
 from hoim.instances import CnfInstance, generate_planted_nae, generate_random_hypergraph
 from hoim.naesat import NaeSystem, snap_to_spins
 from hoim.polynomial import count_satisfied
@@ -61,6 +61,33 @@ def test_run_noise_free_is_explicit_euler():
         assert rec.energy == float(system.energy(phi)[0])
         assert rec.metric == count_satisfied(inst, snap_to_spins(phi))[0]
         phi = np.mod(phi + 1e-3 * system.drift(phi), 2 * np.pi)
+
+
+@pytest.mark.parametrize("setup, dt", [(nae_setup, 1e-3), (cut_setup, 1e-2)], ids=["nae", "cut"])
+@pytest.mark.parametrize("schedule, amplitude", [("decay", 3.0), ("constant", 0.5)])
+def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude):
+    # 700 steps: both schedules stay noisy past two 256-row noise chunks
+    instance, system = setup()
+    cfg = SolverConfig(dt=dt, steps=700, noise_amplitude=amplitude, noise_schedule=schedule,
+                       restarts=3, seed=8, record_every=1)
+    result = run(system, cfg, instance)
+    if isinstance(system, NaeSystem):
+        score = lambda phi: count_satisfied(instance, snap_to_spins(phi))
+    else:
+        score = lambda phi: count_cut(instance, snap_to_labels(phi, system.k_partitions))
+    gens = [np.random.default_rng(8 + r) for r in range(3)]
+    phi = np.stack([g.uniform(0, 2 * np.pi, system.num_spins) for g in gens])
+    for s in range(cfg.steps + 1):
+        if s:
+            amp = cfg.noise_at(s - 1)
+            phi = phi + dt * system.drift(phi)
+            if amp > 0:
+                phi = phi + amp * np.sqrt(dt) * np.stack([g.standard_normal(system.num_spins) for g in gens])
+            phi = np.mod(phi, 2 * np.pi)
+        energies, metrics = system.energy(phi), score(phi)
+        records = [rec for rec in result.trace if rec.step == s]
+        assert [(rec.energy, rec.metric) for rec in records] == \
+            [(float(energies[r]), int(metrics[r])) for r in range(3)]
 
 
 def test_lyapunov_audit_follows_the_run_trajectory():
@@ -148,6 +175,12 @@ def test_run_best_tracking_and_restart_summaries():
     for summary in result.restarts[: result.best_restart]:
         assert summary.best_metric < result.best_metric
     assert count_satisfied(inst, result.best_assignment) == result.best_metric
+    # a restart's best step is the first record at its best metric
+    for summary in result.restarts:
+        first = next(rec.step for rec in result.trace
+                     if rec.restart == summary.restart and rec.metric == summary.best_metric)
+        assert summary.best_step == first
+    assert result.best_step == result.restarts[result.best_restart].best_step
 
 
 def test_run_early_stop_on_target():
