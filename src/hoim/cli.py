@@ -37,17 +37,18 @@ GRADIENT_TOLERANCE = {"nae-sat": 1e-5, "hyper-maxcut": 1e-4}
 DEFAULT_DT = {"nae-sat": 1e-3, "hyper-maxcut": 1e-2}
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _load_instance(args):
+    """Parse ``args.input``: DIMACS CNF for nae-sat, a 'p hyp' hypergraph otherwise."""
+    with open(args.input, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    return (parse_dimacs if args.problem == "nae-sat" else parse_hypergraph)(text)
 
 
 def _load_problem(args):
     """Parse the input file and build the matching dynamical system; unset
     constant flags fall back to the system's defaults, which the echo records."""
-    text = _read_text(args.input)
+    instance = _load_instance(args)
     if args.problem == "nae-sat":
-        instance = parse_dimacs(text)
         system = NaeSystem.from_instance(instance, coupling=args.coupling, harmonic=args.harmonic)
         echo = {
             "problem": "nae-sat",
@@ -59,7 +60,6 @@ def _load_problem(args):
             "constants_tabulated": naesat.default_constants(instance.k)[2],
         }
         return instance, system, echo
-    instance = parse_hypergraph(text)
     system = CutSystem.from_hypergraph(instance, args.k, coupling=args.coupling,
                                        harmonic=args.harmonic, sigma=args.sigma)
     echo = {
@@ -143,15 +143,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    text = _read_text(args.input)
+    instance = _load_instance(args)
     if args.problem == "nae-sat":
-        instance = parse_dimacs(text)
         best, assignment = oracle.brute_force_nae(instance)
         cap = instance.num_clauses
     else:
-        graph = parse_hypergraph(text)
-        best, assignment = oracle.brute_force_maxkcut(graph, args.k)
-        cap = graph.num_edges
+        best, assignment = oracle.brute_force_maxkcut(instance, args.k)
+        cap = instance.num_edges
     print(f"optimum {best}/{cap}")
     print("assignment " + " ".join(str(int(v)) for v in assignment))
     return 0

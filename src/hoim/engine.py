@@ -11,7 +11,7 @@ initial phases and its entire noise stream from a generator seeded with
 config).  The restarts are evolved together as one batch, and the drift's
 floating-point sums depend on the batch shape: restart r replays bit for
 bit only inside a batch of the same ``restarts`` count, not as a solo run
-seeded ``seed + r`` (ROADMAP item 2).  Every restart integrates to the end
+seeded ``seed + r`` (ROADMAP item 4).  Every restart integrates to the end
 of the loop; ``target`` only stops a restart's recording, and the loop ends
 early once every restart has stopped.
 
@@ -34,7 +34,7 @@ from .naesat import NaeSystem, snap_to_spins
 from .polynomial import clause_arrays, count_satisfied
 
 TWO_PI = 2.0 * np.pi
-_NOISE_CHUNK = 256
+_NOISE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class SolverConfig:
             raise ValueError("steps must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
@@ -132,6 +134,12 @@ def _dispatch(system, instance):
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
+def _noise_rows(gens, n):
+    """Standard normal (restarts, n) rows; restart r reads ``gens[r]``'s stream in order."""
+    while True:
+        yield from np.stack([g.standard_normal((_NOISE_CHUNK, n)) for g in gens], axis=1)
+
+
 def _trajectory(system, config: SolverConfig, gens):
     """Yield the (restarts, num_spins) phases: the initial draw, then the state
     after each of ``config.steps`` Euler-Maruyama steps of the whole batch.
@@ -140,8 +148,7 @@ def _trajectory(system, config: SolverConfig, gens):
     phi = np.stack([g.uniform(0.0, TWO_PI, n) for g in gens])
     yield phi
     sqrt_dt = math.sqrt(config.dt)
-    noise_buf = np.zeros((len(gens), _NOISE_CHUNK, n))
-    buf_pos = _NOISE_CHUNK
+    noise = _noise_rows(gens, n)
     for s in range(1, config.steps + 1):
         amp = config.noise_at(s - 1)
         drift = system.drift(phi)
@@ -150,12 +157,7 @@ def _trajectory(system, config: SolverConfig, gens):
             raise RuntimeError(f"non-finite drift in restart {int(np.flatnonzero(~finite)[0])} at step {s}")
         phi = phi + config.dt * drift
         if amp > 0.0:
-            if buf_pos >= _NOISE_CHUNK:
-                for r, g in enumerate(gens):
-                    noise_buf[r] = g.standard_normal((_NOISE_CHUNK, n))
-                buf_pos = 0
-            phi = phi + amp * sqrt_dt * noise_buf[:, buf_pos]
-            buf_pos += 1
+            phi = phi + amp * sqrt_dt * next(noise)
         phi = np.mod(phi, TWO_PI)
         yield phi
 

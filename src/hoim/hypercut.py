@@ -95,8 +95,10 @@ class CutSystem:
             raise ValueError("coupling must be positive and finite")
         if not (np.isfinite(self.harmonic) and self.harmonic >= 0):
             raise ValueError("harmonic strength must be non-negative and finite")
-        if not 0 < self.sigma < 2.0 * np.pi / (8.0 * self.k_partitions):
-            raise ValueError("sigma must be small relative to the lattice spacing 2*pi/K")
+        bound = 2.0 * np.pi / (8.0 * self.k_partitions)
+        if not 0 < self.sigma < bound:
+            raise ValueError(f"sigma must be positive and below 2*pi/(8K) = {bound:.6g} "
+                             f"for K={self.k_partitions}, got {self.sigma}")
         # one pass over the edges numbers the distinct pairs and fills the
         # slots; the pad (node 1 with itself) is registered first, as pair 0
         edges = self.instance.hyperedges

@@ -221,6 +221,8 @@ def generate_planted_nae(n: int, m: int, k: int, seed: int):
         raise InstanceError("need n >= k")
     if m < 1:
         raise InstanceError("need m >= 1")
+    if seed < 0:
+        raise InstanceError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     plant = rng.choice([-1, 1], size=n)
     clauses = []
@@ -243,6 +245,8 @@ def generate_random_hypergraph(n: int, m: int, min_size: int, max_size: int, see
         raise InstanceError("need 2 <= min_size <= max_size <= n")
     if m < 1:
         raise InstanceError("need m >= 1")
+    if seed < 0:
+        raise InstanceError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     edges = []
     for _ in range(m):

@@ -152,6 +152,18 @@ def test_non_finite_step_or_noise_exits_2(nae_file, command, flag, value, messag
     assert f"error: {message} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "nae-sat", "--steps", "10"],
+    ["audit", "--problem", "nae-sat", "--steps", "10"],
+    ["generate", "planted-nae", "--vars", "12", "--clauses", "25", "--k", "4"],
+    ["generate", "hypergraph", "--nodes", "8", "--edges", "14"],
+], ids=["solve", "audit", "planted-nae", "hypergraph"])
+def test_negative_seed_exits_2(nae_file, tmp_path, argv, capsys):
+    where = ["--input", str(nae_file)] if argv[0] != "generate" else ["--out", str(tmp_path / "x")]
+    assert main([*argv, *where, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+
 def test_solve_rerun_from_config_echo_is_bit_identical(nae_file, tmp_path):
     paths = []
     for tag in ("a", "b"):

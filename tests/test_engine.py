@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hoim import engine
 from hoim.engine import SolverConfig, lyapunov_audit, run
 from hoim.hypercut import CutSystem, count_cut, snap_to_labels
 from hoim.instances import CnfInstance, generate_planted_nae, generate_random_hypergraph
@@ -29,6 +30,8 @@ def test_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SolverConfig(seed=-1)
     with pytest.raises(ValueError):
         SolverConfig(noise_schedule="warp")
     for bad in (np.nan, np.inf, -np.inf):
@@ -65,12 +68,16 @@ def test_run_noise_free_is_explicit_euler():
 
 @pytest.mark.parametrize("setup, dt", [(nae_setup, 1e-3), (cut_setup, 1e-2)], ids=["nae", "cut"])
 @pytest.mark.parametrize("schedule, amplitude", [("decay", 3.0), ("constant", 0.5)])
-def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude):
-    # 700 steps: both schedules stay noisy past two 256-row noise chunks
+def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude, monkeypatch):
+    # 700 steps: both schedules stay noisy across many noise chunks, and a
+    # restart's stream must not depend on the chunk size
     instance, system = setup()
     cfg = SolverConfig(dt=dt, steps=700, noise_amplitude=amplitude, noise_schedule=schedule,
                        restarts=3, seed=8, record_every=1)
-    result = run(system, cfg, instance)
+    results = []
+    for chunk in (1, 32):
+        monkeypatch.setattr(engine, "_NOISE_CHUNK", chunk)
+        results.append(run(system, cfg, instance))
     if isinstance(system, NaeSystem):
         score = lambda phi: count_satisfied(instance, snap_to_spins(phi))
     else:
@@ -85,9 +92,9 @@ def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude):
                 phi = phi + amp * np.sqrt(dt) * np.stack([g.standard_normal(system.num_spins) for g in gens])
             phi = np.mod(phi, 2 * np.pi)
         energies, metrics = system.energy(phi), score(phi)
-        records = [rec for rec in result.trace if rec.step == s]
-        assert [(rec.energy, rec.metric) for rec in records] == \
-            [(float(energies[r]), int(metrics[r])) for r in range(3)]
+        expected = [(float(energies[r]), int(metrics[r])) for r in range(3)]
+        for result in results:
+            assert [(rec.energy, rec.metric) for rec in result.trace if rec.step == s] == expected
 
 
 def test_lyapunov_audit_follows_the_run_trajectory():

@@ -537,8 +537,10 @@ def test_k2_energy_reduces_to_pair_system_at_lattice():
 
 def test_sigma_invariant_enforced():
     graph = Hypergraph(3, ((1, 2, 3),))
-    with pytest.raises(ValueError, match="sigma"):
-        CutSystem(instance=graph, k_partitions=4, coupling=10.0, harmonic=10.0, sigma=0.2)
+    # the last case is the default sigma, past its bound at K = 1000
+    for k, sigma in [(4, 0.2), (3, 0.0), (3, -1.0), (3, np.nan), (3, 0.5), (1000, None)]:
+        with pytest.raises(ValueError, match=f"sigma must be positive and below .* for K={k}, got"):
+            CutSystem.from_hypergraph(graph, k, sigma=sigma)
     with pytest.raises(ValueError):
         CutSystem(instance=graph, k_partitions=1, coupling=10.0, harmonic=10.0)
 
