@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -89,7 +90,17 @@ def _solver_config(args, problem: str) -> SolverConfig:
     )
 
 
+def _check_output_paths(*paths):
+    """Reject an output path that is a directory, or whose directory is missing
+    or not writable, before the solve and without creating or truncating a file."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(f"cannot write {path}: not a file in a writable directory")
+
+
 def cmd_solve(args) -> int:
+    _check_output_paths(args.out, args.trace)
     instance, system, echo = _load_problem(args)
     config = _solver_config(args, args.problem)
     result = run(system, config, instance)

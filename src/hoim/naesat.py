@@ -12,16 +12,17 @@ couplings) plus a constant 1, so the energy
 equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
 
 The couplings come straight from the clause arrays: a term's weight is the
-product of its literal signs, and equal tuples are merged.  Order-2 terms
-form a symmetric, zero-diagonal, integer-valued N x N matrix J; with
-c = cos(phi) and s = sin(phi), cos(phi_a - phi_b) = c_a c_b + s_a s_b, so
-their part of the sum is (c^T J c + s^T J s) / 2 and costs one cos and one
-sin per phase.  Orders >= 4 keep an alternating-sign (N, T) pattern with
-psi = phi @ pattern.  The drift is the exact negative gradient: the pairs
-give s * (J c) - c * (J s), a higher-order term w cos(psi) gives
-+/- w sin(psi) to each member phase, the sign given by the member's
-position parity in the ascending tuple, and the pinning term gives
--C_s sin(2 phi_i).  Energy is then a Lyapunov function of the flow.
+product of its literal signs.  Each pair term adds its weight into a
+symmetric, zero-diagonal, integer-valued N x N matrix J at both
+orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
+and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 for one cos and
+one sin per phase.  Only orders >= 4 merge equal tuples, into the columns
+of an alternating-sign (N, T) pattern with psi = phi @ pattern.  The drift
+is the exact negative gradient: the pairs give s * (J c) - c * (J s), a
+higher-order term w cos(psi) gives +/- w sin(psi) to each member phase,
+the sign given by the member's position parity in the ascending tuple,
+and the pinning term gives -C_s sin(2 phi_i).  Energy is then a Lyapunov
+function of the flow.
 
 A :class:`NaeSystem` holds the CNF instance it was built from and builds
 its couplings once, on construction; ``engine.run`` scores against that
@@ -69,23 +70,18 @@ class NaeSystem:
         check_clause_width(self.instance.k)
         n, k = self.instance.num_vars, self.instance.k
         variables, signs = clause_arrays(self.instance)
-        order = np.argsort(variables, axis=1)
-        variables = np.take_along_axis(variables, order, axis=1)
-        signs = np.take_along_axis(signs, order, axis=1)
-        pairs = np.zeros((n, n))
+        # each pair term adds its sign product to J at both orientations
+        a, b = np.triu_indices(k, 1)
+        i, j, w = variables[:, a].ravel(), variables[:, b].ravel(), (signs[:, a] * signs[:, b]).ravel()
+        pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
         higher = []  # (tuples, weights) of each order >= 4; none for widths 2 and 3
-        for r in range(2, k + 1, 2):
+        for r in range(4, k + 1, 2):
             # every r-subset of clause positions, merged across clauses
             positions = np.array(list(combinations(range(k), r)))
             tuples, inverse = np.unique(variables[:, positions].reshape(-1, r), axis=0,
                                         return_inverse=True)
             w = np.bincount(inverse.ravel(), weights=signs[:, positions].prod(axis=-1).ravel())
-            tuples, w = tuples[w != 0], w[w != 0]
-            if r == 2:
-                pairs[tuples[:, 0], tuples[:, 1]] = w
-                pairs[tuples[:, 1], tuples[:, 0]] = w
-            else:
-                higher.append((tuples, w))
+            higher.append((tuples[w != 0], w[w != 0]))
         # filled in place: the pattern is the build's largest array
         pattern = np.zeros((n, sum(len(w) for _, w in higher)))
         start = 0

@@ -140,10 +140,11 @@ def evaluate(poly: InteractionPolynomial, spins) -> Fraction:
 
 
 def clause_arrays(instance: CnfInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based variable indices and literal signs of every clause, each (M, K)."""
-    variables = np.array([[abs(l) for l in c] for c in instance.clauses]) - 1
-    signs = np.array([[1 if l > 0 else -1 for l in c] for c in instance.clauses])
-    return variables, signs
+    """Zero-based variable indices and literal signs of every clause, each (M, K);
+    each row is sorted by variable, every sign kept with its variable."""
+    literals = np.array(instance.clauses)
+    literals = np.take_along_axis(literals, np.argsort(np.abs(literals), axis=1), axis=1)
+    return np.abs(literals) - 1, np.sign(literals)
 
 
 def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndarray:

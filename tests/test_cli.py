@@ -114,6 +114,21 @@ def test_solve_missing_input_exits_2(tmp_path):
     assert main(["solve", "--problem", "nae-sat", "--input", str(tmp_path / "nope.cnf")]) == 2
 
 
+@pytest.mark.parametrize("name", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_solve_unwritable_output_exits_2_before_the_solve(nae_file, tmp_path, flag, name,
+                                                          monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run must not be called")
+
+    monkeypatch.setattr("hoim.cli.run", no_solve)
+    target = tmp_path / name
+    assert main(["solve", "--problem", "nae-sat", "--input", str(nae_file), flag, str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == [nae_file.name]
+
+
 def test_solve_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 1 0\n")

@@ -142,12 +142,10 @@ def test_snap_recovers_plant_from_its_lattice():
     assert np.array_equal(snap_to_spins(lattice_state(plant)), plant)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
-def test_weights_are_the_exact_scaled_objective(k):
-    # J's upper triangle, then the (tuple, weight) columns of orders >= 4, are
-    # the objective's terms times 2^(K-1), exactly and in the same order
-    inst, _ = generate_planted_nae(k + 4, 12, k, seed=80 + k)
-    system = NaeSystem.from_instance(inst)
+def assert_exact_scaled_objective(system):
+    """J's upper triangle, then the (tuple, weight) columns of orders >= 4, are
+    the objective's terms times 2^(K-1), exactly and in the same order."""
+    inst = system.instance
     pairs = system._pairs
     assert np.array_equal(pairs, pairs.T)
     assert not pairs.diagonal().any()
@@ -158,7 +156,13 @@ def test_weights_are_the_exact_scaled_objective(k):
         members = np.flatnonzero(column)
         assert np.array_equal(column[members], (-1.0) ** np.arange(len(members)))
         couplings.append((tuple(int(v) + 1 for v in members), Fraction(weight)))
-    assert couplings == [(vs, c * 2 ** (k - 1)) for vs, c in build_objective(inst).terms]
+    assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+def test_weights_are_the_exact_scaled_objective(k):
+    inst, _ = generate_planted_nae(k + 4, 12, k, seed=80 + k)
+    assert_exact_scaled_objective(NaeSystem.from_instance(inst))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
@@ -210,6 +214,14 @@ def test_drift_is_negative_gradient_on_random_formulas(problem):
     # relative to the drift, floored at 1 where the drift vanishes (e.g. on
     # the lattice) and the ratio would only measure finite-difference rounding
     assert np.max(np.abs(drift + fd)) / max(np.max(np.abs(drift)), 1.0) < 1e-4
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_nae_problems())
+def test_weights_are_the_exact_scaled_objective_on_random_formulas(problem):
+    # literals in any order, repeated clauses and pair terms that cancel to 0
+    system, _state = problem
+    assert_exact_scaled_objective(system)
 
 
 def test_default_constants_flag():

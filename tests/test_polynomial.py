@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hoim.instances import CnfInstance, generate_planted_nae
+from hoim.instances import CnfInstance, generate_planted_nae, parse_dimacs
 from hoim.polynomial import (
     InteractionPolynomial,
     build_objective,
@@ -185,6 +185,13 @@ def test_count_satisfied_prebuilt_clause_arrays():
     spins = np.random.default_rng(1).choice([-1, 1], size=(3, 4, 12))
     want = np.array([[[all_equal_indicator(c, s) for c in inst.clauses] for s in row] for row in spins])
     assert np.array_equal(count_satisfied(inst, spins, clause_arrays(inst)), 30 - want.sum(axis=-1))
+
+
+def test_clause_arrays_sort_each_clause_by_variable():
+    # file order within a clause is dropped; each sign stays with its variable
+    variables, signs = clause_arrays(parse_dimacs("p cnf 4 2\n3 -1 2 0\n-4 2 1 0\n"))
+    assert variables.tolist() == [[0, 1, 2], [0, 1, 3]]
+    assert signs.tolist() == [[-1, 1, 1], [1, 1, -1]]
 
 
 def test_evaluate_index_out_of_range():
