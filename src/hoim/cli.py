@@ -92,11 +92,17 @@ def _solver_config(args, problem: str) -> SolverConfig:
 
 def _check_output_paths(*paths):
     """Reject an output path that is a directory, or whose directory is missing
-    or not writable, before the solve and without creating or truncating a file."""
+    or not writable, and a second path to one file, whose write would replace
+    the first; all before the solve, without creating or truncating a file."""
+    seen = set()
     for path in filter(None, paths):
         directory = os.path.dirname(path) or "."
         if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"cannot write {path}: not a file in a writable directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OSError(f"cannot write {path}: another output names the same file")
+        seen.add(real)
 
 
 def cmd_solve(args) -> int:

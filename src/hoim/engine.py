@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercut import CutSystem, count_cut, edge_nodes, snap_to_labels
+from .hypercut import CutSystem, count_cut, snap_to_labels
 from .naesat import NaeSystem, snap_to_spins
-from .polynomial import clause_arrays, count_satisfied
+from .polynomial import count_satisfied
 
 TWO_PI = 2.0 * np.pi
 _NOISE_CHUNK = 32
@@ -125,12 +125,9 @@ def _dispatch(system, instance):
     if instance != system.instance:
         raise ValueError("instance does not match the system")
     if isinstance(system, NaeSystem):
-        clauses = clause_arrays(instance)
-        return snap_to_spins, lambda snapped: count_satisfied(instance, snapped, clauses)
+        return snap_to_spins, lambda snapped: count_satisfied(instance, snapped)
     if isinstance(system, CutSystem):
-        k = system.k_partitions
-        nodes = edge_nodes(instance)
-        return lambda phi: snap_to_labels(phi, k), lambda snapped: count_cut(instance, snapped, nodes)
+        return lambda phi: snap_to_labels(phi, system.k_partitions), lambda snapped: count_cut(instance, snapped)
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 

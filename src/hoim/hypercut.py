@@ -188,26 +188,22 @@ class CutSystem:
         return flat @ self._scatter - self.harmonic * np.sin(self.k_partitions * phi)
 
 
-def edge_nodes(graph: Hypergraph) -> np.ndarray:
-    """Zero-based (M, max edge size) node array; each row is padded with
-    its edge's first node, which leaves the edge's label set unchanged."""
-    width = graph.max_edge_size
-    return np.array([e + (e[0],) * (width - len(e)) for e in graph.hyperedges], dtype=np.intp) - 1
-
-
-def count_cut(graph: Hypergraph, labels, nodes=None) -> int | np.ndarray:
+def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:
     """Number of hyperedges whose nodes span at least two labels.
 
-    ``labels`` may carry leading batch dimensions.  Callers that count
-    repeatedly pass ``nodes = edge_nodes(graph)`` built once."""
-    values = np.asarray(labels)[..., edge_nodes(graph) if nodes is None else nodes]
+    ``labels`` may carry leading batch dimensions; the graph holds its edges as
+    an array, built once: ``graph.edge_nodes``."""
+    values = np.asarray(labels)[..., graph.edge_nodes]
     cut = graph.num_edges - np.all(values == values[..., :1], axis=-1).sum(axis=-1)
     return int(cut) if np.ndim(cut) == 0 else cut
 
 
 def snap_to_labels(phases, k: int) -> np.ndarray:
     """Round each phase to the nearest lattice point 2*pi*j/K and return
-    labels in 0..K-1; exact ties go to the smaller label."""
+    labels in 0..K-1.  An exact tie goes to the lower of its two lattice
+    points, so the tie at (2K - 1)*pi/K, between K - 1 and the wrap to 0,
+    goes to K - 1.  For K = 2 that sends 3pi/2 to label 1, where
+    ``snap_to_spins`` gives +1 (label 0): the two snaps differ at that one point."""
     phi = np.mod(np.asarray(phases, dtype=float), 2.0 * np.pi)
     labels = np.ceil(k * phi / (2.0 * np.pi) - 0.5).astype(int)
     return np.mod(labels, k)

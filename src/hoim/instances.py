@@ -22,6 +22,7 @@ indices within range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         if self.num_vars < 1:
             raise InstanceError("num_vars must be positive")
         if not self.clauses:
@@ -71,6 +73,16 @@ class CnfInstance:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only zero-based variable indices and literal signs of every clause,
+        each (M, K); each row is sorted by variable, every sign kept with its variable."""
+        literals = np.array(self.clauses)
+        literals = np.take_along_axis(literals, np.argsort(np.abs(literals), axis=1), axis=1)
+        variables, signs = np.abs(literals) - 1, np.sign(literals)
+        variables.flags.writeable = signs.flags.writeable = False
+        return variables, signs
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,15 @@ class Hypergraph:
     @property
     def max_edge_size(self) -> int:
         return max(len(e) for e in self.hyperedges)
+
+    @cached_property
+    def edge_nodes(self) -> np.ndarray:
+        """Read-only zero-based (M, max edge size) node array; each row is padded
+        with its edge's first node, which leaves the edge's label set unchanged."""
+        width = self.max_edge_size
+        nodes = np.array([e + (e[0],) * (width - len(e)) for e in self.hyperedges], dtype=np.intp) - 1
+        nodes.flags.writeable = False
+        return nodes
 
 
 def _tokenize(text: str, expect_format: str):

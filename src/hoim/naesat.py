@@ -39,7 +39,7 @@ import numpy as np
 from .instances import CnfInstance
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps naesat.build_objective
 from .polynomial import build_objective  # noqa: F401
-from .polynomial import check_clause_width, clause_arrays
+from .polynomial import check_clause_width
 
 
 def default_constants(k: int) -> tuple[float, float, bool]:
@@ -69,7 +69,7 @@ class NaeSystem:
             raise ValueError("harmonic strength must be non-negative and finite")
         check_clause_width(self.instance.k)
         n, k = self.instance.num_vars, self.instance.k
-        variables, signs = clause_arrays(self.instance)
+        variables, signs = self.instance.clause_arrays
         # each pair term adds its sign product to J at both orientations
         a, b = np.triu_indices(k, 1)
         i, j, w = variables[:, a].ravel(), variables[:, b].ravel(), (signs[:, a] * signs[:, b]).ravel()
@@ -136,7 +136,8 @@ class NaeSystem:
 def snap_to_spins(phases: np.ndarray) -> np.ndarray:
     """Round each phase to the nearer of {0, pi} and return spins in {-1,+1}.
 
-    Exact ties at pi/2 or 3pi/2 resolve to +1.
+    Exact ties at pi/2 or 3pi/2 resolve to +1.  ``snap_to_labels(phases, 2)``
+    sends 3pi/2 to label 1 (spin -1), so the two snaps differ at that one point.
     """
     phi = np.mod(np.asarray(phases, dtype=float), 2.0 * np.pi)
     plus = (phi <= np.pi / 2) | (phi >= 3 * np.pi / 2)

@@ -139,23 +139,13 @@ def evaluate(poly: InteractionPolynomial, spins) -> Fraction:
     return total
 
 
-def clause_arrays(instance: CnfInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based variable indices and literal signs of every clause, each (M, K);
-    each row is sorted by variable, every sign kept with its variable."""
-    literals = np.array(instance.clauses)
-    literals = np.take_along_axis(literals, np.argsort(np.abs(literals), axis=1), axis=1)
-    return np.abs(literals) - 1, np.sign(literals)
-
-
-def count_satisfied(instance: CnfInstance, spins, clauses=None) -> int | np.ndarray:
+def count_satisfied(instance: CnfInstance, spins) -> int | np.ndarray:
     """Number of NAE-satisfied clauses under a spin assignment.
 
     A clause is satisfied when its literal values sign_i * s_i are not all
-    equal (x_i = 1 corresponds to s_i = +1).  ``spins`` may carry leading
-    batch dimensions; the count then has the batch shape.  Callers that
-    count repeatedly pass ``clauses = clause_arrays(instance)`` built once.
-    """
-    variables, signs = clause_arrays(instance) if clauses is None else clauses
+    equal (x_i = 1 corresponds to s_i = +1), read from ``instance.clause_arrays``.
+    ``spins`` may carry leading batch dimensions; the count then has the batch shape."""
+    variables, signs = instance.clause_arrays
     values = signs * np.asarray(spins)[..., variables]  # (..., M, K)
     all_equal = np.all(values == values[..., :1], axis=-1)
     satisfied = instance.num_clauses - all_equal.sum(axis=-1)

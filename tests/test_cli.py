@@ -129,6 +129,22 @@ def test_solve_unwritable_output_exits_2_before_the_solve(nae_file, tmp_path, fl
     assert [p.name for p in tmp_path.iterdir()] == [nae_file.name]
 
 
+@pytest.mark.parametrize("trace", ["r.out", "./r.out", "link.out"], ids=["same", "dot", "symlink"])
+def test_solve_out_and_trace_on_one_file_exits_2_before_the_solve(nae_file, tmp_path, trace,
+                                                                  monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run must not be called")
+
+    monkeypatch.setattr("hoim.cli.run", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.out").symlink_to(tmp_path / "r.out")  # dangling until r.out exists
+    assert main(["solve", "--problem", "nae-sat", "--input", str(nae_file),
+                 "--out", "r.out", "--trace", trace]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and trace in err[0]
+    assert not (tmp_path / "r.out").exists()
+
+
 def test_solve_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 1 0\n")

@@ -9,7 +9,6 @@ from hoim.hypercut import (
     CutSystem,
     count_cut,
     default_constants,
-    edge_nodes,
     phase_penalty,
     snap_to_labels,
     wrap_angle,
@@ -318,7 +317,6 @@ def test_count_cut_vectorised_matches_edge_loop():
         for edge in graph.hyperedges:
             want[idx] += len({labels[idx][n - 1] for n in edge}) > 1
     assert np.array_equal(count_cut(graph, labels), want)
-    assert np.array_equal(count_cut(graph, labels, edge_nodes(graph)), want)
     assert count_cut(graph, labels[2, 3]) == want[2, 3]
 
 
@@ -338,7 +336,6 @@ def labelled_hypergraphs(draw):
 def test_count_cut_batched_equals_scalar(problem):
     graph, labels = problem
     batched = count_cut(graph, labels)
-    assert np.array_equal(count_cut(graph, labels, edge_nodes(graph)), batched)
     for idx in np.ndindex(labels.shape[:-1]):
         single = count_cut(graph, labels[idx])
         assert type(single) is int and single == batched[idx]
@@ -500,9 +497,17 @@ def test_three_node_edge_drift_expanded_form():
 
 def test_snap_to_labels():
     assert np.array_equal(snap_to_labels([0.01, 2.10, 4.20], 3), [0, 1, 2])
-    # ties go to the smaller label
+    # ties go to the lower lattice point
     assert np.array_equal(snap_to_labels([np.pi / 3], 3), [0])
     assert np.array_equal(snap_to_labels([np.pi], 3), [1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_snap_to_labels_ties_go_to_the_lower_lattice_point(k):
+    # the tie between lattice points j and j + 1 sits at (2j + 1) pi / K; the
+    # last, between K - 1 and the wrap to 0, goes to K - 1
+    ties = (2 * np.arange(k) + 1) * np.pi / k
+    assert np.array_equal(snap_to_labels(ties, k), np.arange(k))
 
 
 def test_snap_to_labels_k2_matches_spin_snap_off_ties():
@@ -511,6 +516,10 @@ def test_snap_to_labels_k2_matches_spin_snap_off_ties():
     labels = snap_to_labels(phi, 2)
     spins = snap_to_spins(phi)
     assert np.array_equal(labels, (1 - spins) // 2)
+    # at the ties they part: pi/2 gives label 0 and spin +1, 3pi/2 label 1 and spin +1
+    ties = [np.pi / 2, 3 * np.pi / 2]
+    assert np.array_equal(snap_to_labels(ties, 2), [0, 1])
+    assert np.array_equal(snap_to_spins(ties), [1, 1])
 
 
 def test_k2_energy_reduces_to_pair_system_at_lattice():

@@ -126,6 +126,35 @@ def test_hypergraph_round_trip_property(graph, notes):
     assert parse_hypergraph(format_hypergraph(graph, notes)) == graph
 
 
+def test_cnf_instance_stores_its_clauses_as_tuples():
+    inst = CnfInstance(3, [[1, -2], [2, 3]])
+    assert parse_dimacs(format_dimacs(inst)) == inst
+    assert hash(inst) == hash(CnfInstance(3, ((1, -2), (2, 3))))
+
+
+def test_clause_arrays_sort_each_clause_by_variable():
+    # file order within a clause is dropped; each sign stays with its variable
+    variables, signs = parse_dimacs("p cnf 4 2\n3 -1 2 0\n-4 2 1 0\n").clause_arrays
+    assert variables.tolist() == [[0, 1, 2], [0, 1, 3]]
+    assert signs.tolist() == [[-1, 1, 1], [1, 1, -1]]
+
+
+def test_instance_arrays_are_built_once_and_read_only():
+    inst = CnfInstance(4, ((3, -1, 2), (-4, 2, 1)))
+    graph = Hypergraph(4, ((3, 1), (2, 4, 1)))
+    assert inst.clause_arrays[0] is inst.clause_arrays[0]
+    assert inst.clause_arrays[1] is inst.clause_arrays[1]
+    assert graph.edge_nodes is graph.edge_nodes
+    assert graph.edge_nodes.tolist() == [[0, 2, 0], [0, 1, 3]]
+    for array in (*inst.clause_arrays, graph.edge_nodes):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    # the cache is not a field: a read instance still equals and hashes like a fresh one
+    for read, fresh in ((inst, CnfInstance(4, ((3, -1, 2), (-4, 2, 1)))),
+                        (graph, Hypergraph(4, ((1, 3), (1, 2, 4))))):
+        assert read == fresh and hash(read) == hash(fresh)
+
+
 def test_planted_instance_is_satisfied_by_plant():
     for seed in range(10):
         inst, plant = generate_planted_nae(20, 50, 4, seed=seed)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hoim.instances import CnfInstance, generate_planted_nae, parse_dimacs
+from hoim.instances import CnfInstance, generate_planted_nae
 from hoim.polynomial import (
     InteractionPolynomial,
     build_objective,
-    clause_arrays,
     count_satisfied,
     evaluate,
     expand_clause,
@@ -174,24 +173,16 @@ def spin_batches(draw):
 def test_count_satisfied_batched_equals_scalar(problem):
     inst, spins = problem
     batched = count_satisfied(inst, spins)
-    assert np.array_equal(count_satisfied(inst, spins, clause_arrays(inst)), batched)
     for idx in np.ndindex(spins.shape[:-1]):
         single = count_satisfied(inst, spins[idx])
         assert type(single) is int and single == batched[idx]
 
 
-def test_count_satisfied_prebuilt_clause_arrays():
+def test_count_satisfied_batch_matches_all_equal_indicator():
     inst, _ = generate_planted_nae(12, 30, 4, seed=5)
     spins = np.random.default_rng(1).choice([-1, 1], size=(3, 4, 12))
     want = np.array([[[all_equal_indicator(c, s) for c in inst.clauses] for s in row] for row in spins])
-    assert np.array_equal(count_satisfied(inst, spins, clause_arrays(inst)), 30 - want.sum(axis=-1))
-
-
-def test_clause_arrays_sort_each_clause_by_variable():
-    # file order within a clause is dropped; each sign stays with its variable
-    variables, signs = clause_arrays(parse_dimacs("p cnf 4 2\n3 -1 2 0\n-4 2 1 0\n"))
-    assert variables.tolist() == [[0, 1, 2], [0, 1, 3]]
-    assert signs.tolist() == [[-1, 1, 1], [1, 1, -1]]
+    assert np.array_equal(count_satisfied(inst, spins), 30 - want.sum(axis=-1))
 
 
 def test_evaluate_index_out_of_range():
