@@ -63,6 +63,8 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.target is not None and self.target < 1:
+            raise ValueError("target must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
@@ -149,9 +151,9 @@ def _trajectory(system, config: SolverConfig, gens):
     for s in range(1, config.steps + 1):
         amp = config.noise_at(s - 1)
         drift = system.drift(phi)
-        finite = np.isfinite(drift).all(axis=-1)
-        if not finite.all():
-            raise RuntimeError(f"non-finite drift in restart {int(np.flatnonzero(~finite)[0])} at step {s}")
+        if not np.isfinite(drift).all():
+            bad = np.flatnonzero(~np.isfinite(drift).all(axis=-1))[0]
+            raise RuntimeError(f"non-finite drift in restart {int(bad)} at step {s}")
         phi = phi + config.dt * drift
         if amp > 0.0:
             phi = phi + amp * sqrt_dt * next(noise)

@@ -16,13 +16,18 @@ product of its literal signs.  Each pair term adds its weight into a
 symmetric, zero-diagonal, integer-valued N x N matrix J at both
 orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
 and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 for one cos and
-one sin per phase.  Only orders >= 4 merge equal tuples, into the columns
-of an alternating-sign (N, T) pattern with psi = phi @ pattern.  The drift
-is the exact negative gradient: the pairs give s * (J c) - c * (J s), a
-higher-order term w cos(psi) gives +/- w sin(psi) to each member phase,
-the sign given by the member's position parity in the ascending tuple,
-and the pinning term gives -C_s sin(2 phi_i).  Energy is then a Lyapunov
-function of the flow.
+one sin per phase.  Only orders >= 4 merge equal tuples, each order into
+ascending (T_r, r) index arrays and weights.  While at least 1/64 of an
+alternating-sign (N, T) pattern would be nonzero (``DENSE_FILL``), the
+terms are its columns and psi = phi @ pattern.  Sparser instances (for
+K = 4, N > 256) gather psi from [phi, -phi] and scatter the drift back by
+variable; every step of that form is elementwise, a gather or a per-row
+reduction, so each batch row is evaluated exactly as it would be alone.
+The drift is the exact negative gradient: the pairs give
+s * (J c) - c * (J s), a higher-order term w cos(psi) gives +/- w sin(psi)
+to each member phase, the sign given by the member's position parity in
+the ascending tuple, and the pinning term gives -C_s sin(2 phi_i).  Energy
+is then a Lyapunov function of the flow.
 
 A :class:`NaeSystem` holds the CNF instance it was built from and builds
 its couplings once, on construction; ``engine.run`` scores against that
@@ -42,6 +47,19 @@ from .polynomial import build_objective  # noqa: F401
 from .polynomial import check_clause_width
 
 
+# The order >= 4 terms keep the dense (N, T) pattern while at least 1/64 of
+# it is nonzero, N*T <= DENSE_FILL * nnz with nnz = sum_r r*T_r; sparser
+# instances gather and scatter through index arrays.  For K = 4 the index
+# form starts past N = 256.  Order >= 4 part of one drift, planted NAE-4,
+# 20 restarts, in us, the better of two runs (2 vCPU, numpy 2.4.6, OpenBLAS
+# on 1 thread); the two forms are close near 200/500:
+#
+#     N/M       20/50  100/250  200/500  300/750  400/1000  1000/2500
+#     dense        15      137      636     1060      1672       7927
+#     index        52      254      565      768      1077       2868
+DENSE_FILL = 64
+
+
 def default_constants(k: int) -> tuple[float, float, bool]:
     """(coupling C, harmonic strength C_s, whether tuned for this K).  Only
     K=4 is tuned; other widths reuse its constants, flagged as untuned."""
@@ -54,8 +72,13 @@ class NaeSystem:
 
     The couplings are the indicator polynomial of ``instance`` scaled by
     2^(K-1), so they are integers: the order-2 terms in the matrix
-    ``_pairs`` (J), the orders >= 4 in ``_pattern`` and ``_weights``.  The
-    clause count supplies the +1-per-clause energy offset.
+    ``_pairs`` (J), the orders >= 4 as ``_tuples`` (one ascending (T_r, r)
+    array per order) and ``_weights``.  Those terms are evaluated through the
+    dense ``_pattern`` when N * T <= DENSE_FILL * nnz, nnz = sum_r r * T_r,
+    and otherwise through index arrays (``_pattern`` is None): ``_gather``
+    reads psi from [phi, -phi], ``_scatter`` and ``_segments`` add
+    +-w sin(psi) back up by variable.  The clause count supplies the
+    +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -74,25 +97,41 @@ class NaeSystem:
         a, b = np.triu_indices(k, 1)
         i, j, w = variables[:, a].ravel(), variables[:, b].ravel(), (signs[:, a] * signs[:, b]).ravel()
         pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
-        higher = []  # (tuples, weights) of each order >= 4; none for widths 2 and 3
+        tuples, weights = [], []  # merged terms of each order >= 4; none for widths 2 and 3
         for r in range(4, k + 1, 2):
-            # every r-subset of clause positions, merged across clauses
+            # every r-subset of clause positions, equal tuples merged across clauses
             positions = np.array(list(combinations(range(k), r)))
-            tuples, inverse = np.unique(variables[:, positions].reshape(-1, r), axis=0,
-                                        return_inverse=True)
-            w = np.bincount(inverse.ravel(), weights=signs[:, positions].prod(axis=-1).ravel())
-            higher.append((tuples[w != 0], w[w != 0]))
-        # filled in place: the pattern is the build's largest array
-        pattern = np.zeros((n, sum(len(w) for _, w in higher)))
-        start = 0
-        for tuples, w in higher:
-            # +1 at even positions of the ascending tuple, -1 at odd
-            columns = start + np.arange(len(w))
-            pattern[tuples, columns[:, None]] = (-1.0) ** np.arange(tuples.shape[1])
-            start += len(w)
+            rows = variables[:, positions].reshape(-1, r)
+            products = signs[:, positions].prod(axis=-1).ravel().astype(float)
+            order = np.lexsort(rows.T[::-1])  # lexicographic, as np.unique(axis=0)
+            rows, products = rows[order], products[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            w = np.add.reduceat(products, np.flatnonzero(first))
+            tuples.append(rows[first][w != 0])
+            weights.append(w[w != 0])
+        n_terms = sum(map(len, weights))
+        dense = n * n_terms <= DENSE_FILL * sum(t.size for t in tuples)
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + [w for _, w in higher]))
+        object.__setattr__(self, "_tuples", tuple(tuples))
+        object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + weights))
+        object.__setattr__(self, "_pattern", _pattern(n, tuples) if dense else None)
+        if not dense:
+            # psi adds up the signed phases [phi, -phi] one tuple position at a
+            # time; the odd positions read -phi
+            parity = [np.arange(t.shape[1]) % 2 for t in tuples]
+            object.__setattr__(self, "_gather", tuple((t + n * p).T.copy() for t, p in zip(tuples, parity)))
+            # each variable's drift sums the entries of [g, -g, 0], g = w sin(psi),
+            # that its tuple positions read, plus the 0, so no segment is empty
+            starts = np.cumsum([0] + [len(t) for t in tuples])
+            entries = np.concatenate([start + np.arange(len(t))[:, None] + n_terms * p
+                                      for start, t, p in zip(starts, tuples, parity)]
+                                     + [np.full(n, 2 * n_terms)], axis=None)
+            keys = np.concatenate([t.ravel() for t in tuples] + [np.arange(n)])
+            order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
+            object.__setattr__(self, "_scatter", entries[order])
+            counts = np.bincount(keys, minlength=n)
+            object.__setattr__(self, "_segments", np.cumsum(counts) - counts)
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
@@ -119,18 +158,55 @@ class NaeSystem:
         phi = np.asarray(phases, dtype=float)
         c, s = np.cos(phi), np.sin(phi)
         pairs = 0.5 * (c * (c @ self._pairs) + s * (s @ self._pairs)).sum(axis=-1)
-        higher = np.cos(phi @ self._pattern) @ self._weights
         pinning = 0.5 * self.harmonic * (c * c - s * s).sum(axis=-1)  # cos 2phi
-        out = self.coupling * (pairs + higher + self.instance.num_clauses) - pinning
+        out = self.coupling * (pairs + self._higher_energy(phi) + self.instance.num_clauses) - pinning
         return float(out) if out.ndim == 0 else out
 
     def drift(self, phases: np.ndarray) -> np.ndarray:
         """dphi/dt = -dE/dphi, evaluated analytically."""
         phi = np.asarray(phases, dtype=float)
         c, s = np.cos(phi), np.sin(phi)
-        higher = (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
-        coupled = s * (c @ self._pairs) - c * (s @ self._pairs) + higher
+        coupled = s * (c @ self._pairs) - c * (s @ self._pairs) + self._higher_drift(phi)
         return self.coupling * coupled - 2.0 * self.harmonic * s * c  # sin 2phi = 2 s c
+
+    def _psi(self, phi):
+        """The alternating phase sum of every order >= 4 term (index form),
+        added up position by position."""
+        signed = np.concatenate([phi, -phi], axis=-1)
+        parts = []
+        for positions in self._gather:
+            psi = signed[..., positions[0]]
+            for p in positions[1:]:
+                psi += signed[..., p]
+            parts.append(psi)
+        return np.concatenate(parts, axis=-1)
+
+    def _higher_energy(self, phi):
+        """sum_t w_t cos(psi_t) over the orders >= 4."""
+        if self._pattern is not None:
+            return np.cos(phi @ self._pattern) @ self._weights
+        # one reduceat segment sums each row on its own: .sum(-1) would sum the
+        # batch rows of the gather's layout in another order than a solo row
+        return np.add.reduceat(np.cos(self._psi(phi)) * self._weights, [0], axis=-1)[..., 0]
+
+    def _higher_drift(self, phi):
+        """The orders >= 4 part of the drift: +-w_t sin(psi_t) to each member of term t."""
+        if self._pattern is not None:
+            return (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
+        g = np.sin(self._psi(phi)) * self._weights
+        gains = np.concatenate([g, -g, np.zeros((*g.shape[:-1], 1))], axis=-1)
+        return np.add.reduceat(gains[..., self._scatter], self._segments, axis=-1)
+
+
+def _pattern(n: int, tuples) -> np.ndarray:
+    """The dense (N, T) form: one column per term, +1 at the even positions of
+    its ascending tuple and -1 at the odd ones."""
+    pattern = np.zeros((n, sum(map(len, tuples))))  # filled in place: the build's largest array
+    start = 0
+    for t in tuples:
+        pattern[t, start + np.arange(len(t))[:, None]] = (-1.0) ** np.arange(t.shape[1])
+        start += len(t)
+    return pattern
 
 
 def snap_to_spins(phases: np.ndarray) -> np.ndarray:

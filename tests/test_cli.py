@@ -195,6 +195,15 @@ def test_negative_seed_exits_2(nae_file, tmp_path, argv, capsys):
     assert capsys.readouterr().err.startswith("error: seed must be non-negative")
 
 
+@pytest.mark.parametrize("target", ["0", "-3"])
+def test_target_below_1_exits_2(nae_file, target, capsys):
+    # every restart would meet it at step 0 and report its random initial state
+    assert main(["solve", "--problem", "nae-sat", "--input", str(nae_file),
+                 "--steps", "10", "--target", target]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: target must be >= 1"]
+
+
 def test_solve_rerun_from_config_echo_is_bit_identical(nae_file, tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -32,6 +32,10 @@ def test_config_validation():
         SolverConfig(record_every=0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SolverConfig(seed=-1)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="target must be >= 1"):
+            SolverConfig(target=bad)
+    assert SolverConfig(target=1).target == 1
     with pytest.raises(ValueError):
         SolverConfig(noise_schedule="warp")
     for bad in (np.nan, np.inf, -np.inf):
@@ -124,6 +128,18 @@ def test_trajectory_raises_on_nonfinite_drift():
     cfg = SolverConfig(dt=1e-3, steps=5, noise_amplitude=0.0)
     with pytest.raises(RuntimeError, match="non-finite drift in restart 0 at step 1"):
         lyapunov_audit(_NanDrift(), cfg)
+
+
+class _NanDriftInRestart2(_NanDrift):
+    def drift(self, phases):
+        return np.where(np.arange(len(phases))[:, None] == 2, np.nan, 0.0) * np.ones_like(phases)
+
+
+def test_trajectory_names_the_first_restart_with_a_nonfinite_drift():
+    gens = [np.random.default_rng(r) for r in range(4)]
+    cfg = SolverConfig(dt=1e-3, steps=5, noise_amplitude=0.0)
+    with pytest.raises(RuntimeError, match="non-finite drift in restart 2 at step 1"):
+        list(engine._trajectory(_NanDriftInRestart2(), cfg, gens))
 
 
 def test_run_single_step_trace():

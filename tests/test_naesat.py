@@ -143,8 +143,9 @@ def test_snap_recovers_plant_from_its_lattice():
 
 
 def assert_exact_scaled_objective(system):
-    """J's upper triangle, then the (tuple, weight) columns of orders >= 4, are
-    the objective's terms times 2^(K-1), exactly and in the same order."""
+    """J's upper triangle, then the stored ascending tuples of orders >= 4 with
+    their weights, are the objective's terms times 2^(K-1), exactly and in the
+    same order; a dense pattern, where kept, holds those tuples' columns."""
     inst = system.instance
     pairs = system._pairs
     assert np.array_equal(pairs, pairs.T)
@@ -152,11 +153,17 @@ def assert_exact_scaled_objective(system):
     assert np.array_equal(pairs, np.round(pairs))
     couplings = [((int(a) + 1, int(b) + 1), Fraction(pairs[a, b]))
                  for a, b in zip(*np.nonzero(np.triu(pairs)))]
-    for column, weight in zip(system._pattern.T, system._weights):
-        members = np.flatnonzero(column)
-        assert np.array_equal(column[members], (-1.0) ** np.arange(len(members)))
+    tuples = [row for t in system._tuples for row in t]
+    assert len(tuples) == len(system._weights)
+    for members, weight in zip(tuples, system._weights):
+        assert np.all(np.diff(members) > 0)
         couplings.append((tuple(int(v) + 1 for v in members), Fraction(weight)))
     assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
+    if system._pattern is not None:
+        pattern = np.zeros((inst.num_vars, len(tuples)))
+        for column, members in enumerate(tuples):
+            pattern[members, column] = (-1.0) ** np.arange(len(members))
+        assert np.array_equal(system._pattern, pattern)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
@@ -165,11 +172,23 @@ def test_weights_are_the_exact_scaled_objective(k):
     assert_exact_scaled_objective(NaeSystem.from_instance(inst))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+# (K, N, M) past the dense cutoff: each takes the index form
+INDEX_SIZES = [(4, 300, 750), (6, 300, 100), (8, 320, 40)]
+
+
+@pytest.mark.parametrize("k, n, m", INDEX_SIZES)
+def test_index_form_holds_the_exact_scaled_objective(k, n, m):
+    system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=90 + k)[0])
+    assert system._pattern is None
+    assert_exact_scaled_objective(system)
+
+
+@pytest.mark.parametrize("k, n, m", [(k, k + 6, 20) for k in range(2, 9)] + INDEX_SIZES,
+                         ids=[str(k) for k in range(2, 9)] + ["-".join(map(str, s)) for s in INDEX_SIZES])
 @pytest.mark.parametrize("batch", [(), (4,), (2, 4)])
-def test_agrees_with_dense_alternating_form(k, batch):
+def test_agrees_with_dense_alternating_form(k, n, m, batch):
     # K = 2 and 3 have no terms past the pairs: the pattern is empty
-    inst, _ = generate_planted_nae(k + 6, 20, k, seed=100 + k)
+    inst, _ = generate_planted_nae(n, m, k, seed=100 + k)
     system = NaeSystem.from_instance(inst)
     energy, drift = dense_reference(system)
     phi = np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, inst.num_vars))
@@ -178,6 +197,43 @@ def test_agrees_with_dense_alternating_form(k, batch):
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
     if not batch:
         assert type(system.energy(phi)) is float
+
+
+@pytest.mark.parametrize("k, n, m, dense", [
+    (2, 1000, 2500, True), (3, 1000, 2500, True),  # no orders >= 4: an empty pattern
+    (4, 20, 50, True), (4, 200, 500, True), (4, 256, 640, True),
+    (4, 257, 640, False), (4, 300, 750, False), (4, 1000, 2500, False),
+])
+def test_dense_cutoff(k, n, m, dense):
+    # K = 4 keeps the pattern up to N = 256, where it is 1/64 full
+    system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=3)[0])
+    assert (system._pattern is not None) == dense
+    if dense:
+        assert system._pattern.shape == (n, len(system._weights))
+
+
+@pytest.mark.parametrize("k, n, m", INDEX_SIZES)
+@pytest.mark.parametrize("batch", [(20,), (2, 4)])
+def test_index_form_is_batch_invariant(k, n, m, batch):
+    # the orders >= 4 part of each batch row equals its solo evaluation bit for bit
+    system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=110 + k)[0])
+    phi = np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, n))
+    energies = system._higher_energy(phi).reshape(-1)
+    drifts = system._higher_drift(phi).reshape(-1, n)
+    for row, state in enumerate(phi.reshape(-1, n)):
+        assert energies[row] == system._higher_energy(state)
+        assert np.array_equal(drifts[row], system._higher_drift(state))
+
+
+def test_index_form_drift_is_negative_gradient_and_lattice_energy_exact():
+    inst, plant = generate_planted_nae(300, 750, 4, seed=12)
+    system = NaeSystem.from_instance(inst)
+    assert system._pattern is None
+    state = np.random.default_rng(12).uniform(0, 2 * np.pi, 300)
+    assert gradient_error(system, state) < 1e-5
+    # the plant satisfies every clause: E = -(C_s/2) N
+    assert abs(system.energy(lattice_state(plant)) - (-2.5 * 300)) < 1e-9
+    assert np.max(np.abs(system.drift(lattice_state(plant)))) < 1e-9
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
