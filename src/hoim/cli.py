@@ -90,23 +90,26 @@ def _solver_config(args, problem: str) -> SolverConfig:
     )
 
 
-def _check_output_paths(*paths):
+def _check_output_paths(source, *paths):
     """Reject an output path that is a directory, or whose directory is missing
-    or not writable, and a second path to one file, whose write would replace
-    the first; all before the solve, without creating or truncating a file."""
+    or not writable, the ``source`` file, whose write would replace the
+    instance, and a second path to one file, whose write would replace the
+    first; all before the solve, without creating or truncating a file."""
     seen = set()
     for path in filter(None, paths):
         directory = os.path.dirname(path) or "."
         if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"cannot write {path}: not a file in a writable directory")
         real = os.path.realpath(path)
+        if real == os.path.realpath(source):
+            raise OSError(f"cannot write {path}: it is the input file")
         if real in seen:
             raise OSError(f"cannot write {path}: another output names the same file")
         seen.add(real)
 
 
 def cmd_solve(args) -> int:
-    _check_output_paths(args.out, args.trace)
+    _check_output_paths(args.input, args.out, args.trace)
     instance, system, echo = _load_problem(args)
     config = _solver_config(args, args.problem)
     result = run(system, config, instance)

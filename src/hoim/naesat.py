@@ -11,18 +11,20 @@ couplings) plus a constant 1, so the energy
 
 equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
 
-The couplings come straight from the clause arrays: a term's weight is the
-product of its literal signs.  Each pair term adds its weight into a
+The couplings come from one pass over the clause arrays: each even-size
+subset of a clause's positions is a term weighted by the product of its
+literal signs, kept per clause, unmerged (a repeated tuple counts once per
+copy, which gives the same sum).  Each pair term adds its weight into a
 symmetric, zero-diagonal, integer-valued N x N matrix J at both
 orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
 and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 for one cos and
-one sin per phase.  Only orders >= 4 merge equal tuples, each order into
-ascending (T_r, r) index arrays and weights.  While at least 1/64 of an
-alternating-sign (N, T) pattern would be nonzero (``DENSE_FILL``), the
-terms are its columns and psi = phi @ pattern.  Sparser instances (for
-K = 4, N > 256) gather psi from [phi, -phi] and scatter the drift back by
-variable; every step of that form is elementwise, a gather or a per-row
-reduction, so each batch row is evaluated exactly as it would be alone.
+one sin per phase.  Each order >= 4 is M * C(K, r) ascending tuples.
+While at least 1/64 of an alternating-sign (N, T) pattern would be nonzero
+(``DENSE_FILL``), the terms are its columns and psi = phi @ pattern.
+Sparser instances (for K = 4, N > 256) gather psi from [phi, -phi] and
+scatter the drift back by variable; every step of that form is
+elementwise, a gather or a per-row reduction, so each batch row is
+evaluated exactly as it would be alone.
 The drift is the exact negative gradient: the pairs give
 s * (J c) - c * (J s), a higher-order term w cos(psi) gives +/- w sin(psi)
 to each member phase, the sign given by the member's position parity in
@@ -71,14 +73,15 @@ class NaeSystem:
     """Energy/drift evaluator for one NAE-K-SAT instance.
 
     The couplings are the indicator polynomial of ``instance`` scaled by
-    2^(K-1), so they are integers: the order-2 terms in the matrix
-    ``_pairs`` (J), the orders >= 4 as ``_tuples`` (one ascending (T_r, r)
-    array per order) and ``_weights``.  Those terms are evaluated through the
-    dense ``_pattern`` when N * T <= DENSE_FILL * nnz, nnz = sum_r r * T_r,
-    and otherwise through index arrays (``_pattern`` is None): ``_gather``
-    reads psi from [phi, -phi], ``_scatter`` and ``_segments`` add
-    +-w sin(psi) back up by variable.  The clause count supplies the
-    +1-per-clause energy offset.
+    2^(K-1), so they are integers, built per clause in one pass over the even
+    orders: the order-2 terms summed into the matrix ``_pairs`` (J), the
+    orders >= 4 kept unmerged as ``_tuples`` (one ascending (T_r, r) array
+    per order, in clause order) and ``_weights`` (+-1 each).  Those terms
+    are evaluated through the dense ``_pattern`` when
+    N * T <= DENSE_FILL * nnz, nnz = sum_r r * T_r, and otherwise through
+    index arrays (``_pattern`` is None): ``_gather`` reads psi from
+    [phi, -phi], ``_scatter`` and ``_segments`` add +-w sin(psi) back up by
+    variable.  The clause count supplies the +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -93,23 +96,17 @@ class NaeSystem:
         check_clause_width(self.instance.k)
         n, k = self.instance.num_vars, self.instance.k
         variables, signs = self.instance.clause_arrays
-        # each pair term adds its sign product to J at both orientations
-        a, b = np.triu_indices(k, 1)
-        i, j, w = variables[:, a].ravel(), variables[:, b].ravel(), (signs[:, a] * signs[:, b]).ravel()
-        pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
-        tuples, weights = [], []  # merged terms of each order >= 4; none for widths 2 and 3
-        for r in range(4, k + 1, 2):
-            # every r-subset of clause positions, equal tuples merged across clauses
+        # every even-size subset of clause positions is a term weighted by the
+        # product of its signs, kept per clause in clause order; clause_arrays
+        # rows ascend by variable, so every tuple does
+        tuples, weights = [], []
+        for r in range(2, k + 1, 2):
             positions = np.array(list(combinations(range(k), r)))
-            rows = variables[:, positions].reshape(-1, r)
-            products = signs[:, positions].prod(axis=-1).ravel().astype(float)
-            order = np.lexsort(rows.T[::-1])  # lexicographic, as np.unique(axis=0)
-            rows, products = rows[order], products[order]
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            w = np.add.reduceat(products, np.flatnonzero(first))
-            tuples.append(rows[first][w != 0])
-            weights.append(w[w != 0])
+            tuples.append(variables[:, positions].reshape(-1, r))
+            weights.append(signs[:, positions].prod(axis=-1).ravel())
+        # each pair term adds its weight to J at both orientations
+        (i, j), w = tuples.pop(0).T, weights.pop(0)
+        pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
         n_terms = sum(map(len, weights))
         dense = n * n_terms <= DENSE_FILL * sum(t.size for t in tuples)
         object.__setattr__(self, "_pairs", pairs)

@@ -129,6 +129,23 @@ def test_solve_unwritable_output_exits_2_before_the_solve(nae_file, tmp_path, fl
     assert [p.name for p in tmp_path.iterdir()] == [nae_file.name]
 
 
+@pytest.mark.parametrize("name", ["nae.cnf", "./nae.cnf", "link.cnf"], ids=["same", "dot", "symlink"])
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_solve_output_naming_the_input_exits_2_before_the_solve(nae_file, tmp_path, flag, name,
+                                                                monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run must not be called")
+
+    monkeypatch.setattr("hoim.cli.run", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.cnf").symlink_to(nae_file)
+    before = nae_file.read_bytes()
+    assert main(["solve", "--problem", "nae-sat", "--input", str(nae_file), flag, name]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert nae_file.read_bytes() == before
+
+
 @pytest.mark.parametrize("trace", ["r.out", "./r.out", "link.out"], ids=["same", "dot", "symlink"])
 def test_solve_out_and_trace_on_one_file_exits_2_before_the_solve(nae_file, tmp_path, trace,
                                                                   monkeypatch, capsys):

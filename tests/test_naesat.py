@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -143,9 +144,12 @@ def test_snap_recovers_plant_from_its_lattice():
 
 
 def assert_exact_scaled_objective(system):
-    """J's upper triangle, then the stored ascending tuples of orders >= 4 with
-    their weights, are the objective's terms times 2^(K-1), exactly and in the
-    same order; a dense pattern, where kept, holds those tuples' columns."""
+    """J's upper triangle, then the stored order >= 4 weights summed per tuple
+    (zero sums dropped, sorted by order and tuple), are the objective's terms
+    times 2^(K-1), exactly.  The stored terms are unmerged: each order holds
+    every clause's r-subsets of its literals, in clause order, M * C(K, r)
+    rows, each weighted by its sign product; a dense pattern, where kept,
+    holds those tuples' columns."""
     inst = system.instance
     pairs = system._pairs
     assert np.array_equal(pairs, pairs.T)
@@ -153,11 +157,20 @@ def assert_exact_scaled_objective(system):
     assert np.array_equal(pairs, np.round(pairs))
     couplings = [((int(a) + 1, int(b) + 1), Fraction(pairs[a, b]))
                  for a, b in zip(*np.nonzero(np.triu(pairs)))]
+    orders = range(4, inst.k + 1, 2)
+    assert [len(t) for t in system._tuples] == [inst.num_clauses * comb(inst.k, r) for r in orders]
     tuples = [row for t in system._tuples for row in t]
     assert len(tuples) == len(system._weights)
+    stored = [(tuple(int(v) for v in members), weight) for members, weight in zip(tuples, system._weights)]
+    assert stored == [(tuple(abs(lit) - 1 for lit in subset), prod(1 if lit > 0 else -1 for lit in subset))
+                      for r in orders for clause in inst.clauses
+                      for subset in combinations(sorted(clause, key=abs), r)]
+    summed = {}
     for members, weight in zip(tuples, system._weights):
         assert np.all(np.diff(members) > 0)
-        couplings.append((tuple(int(v) + 1 for v in members), Fraction(weight)))
+        key = tuple(int(v) + 1 for v in members)
+        summed[key] = summed.get(key, 0) + Fraction(weight)
+    couplings += sorted(((vs, w) for vs, w in summed.items() if w), key=lambda term: (len(term[0]), term[0]))
     assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
     if system._pattern is not None:
         pattern = np.zeros((inst.num_vars, len(tuples)))
@@ -183,6 +196,14 @@ def test_index_form_holds_the_exact_scaled_objective(k, n, m):
     assert_exact_scaled_objective(system)
 
 
+def assert_agrees_with_dense_reference(system, phi):
+    """Energy and drift within 1e-12 of ``dense_reference``, relative to its largest entry."""
+    energy, drift = dense_reference(system)
+    for new, old in ((system.energy(phi), energy(phi)), (system.drift(phi), drift(phi))):
+        assert np.shape(new) == np.shape(old)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
 @pytest.mark.parametrize("k, n, m", [(k, k + 6, 20) for k in range(2, 9)] + INDEX_SIZES,
                          ids=[str(k) for k in range(2, 9)] + ["-".join(map(str, s)) for s in INDEX_SIZES])
 @pytest.mark.parametrize("batch", [(), (4,), (2, 4)])
@@ -190,11 +211,8 @@ def test_agrees_with_dense_alternating_form(k, n, m, batch):
     # K = 2 and 3 have no terms past the pairs: the pattern is empty
     inst, _ = generate_planted_nae(n, m, k, seed=100 + k)
     system = NaeSystem.from_instance(inst)
-    energy, drift = dense_reference(system)
     phi = np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, inst.num_vars))
-    for new, old in ((system.energy(phi), energy(phi)), (system.drift(phi), drift(phi))):
-        assert np.shape(new) == np.shape(old)
-        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    assert_agrees_with_dense_reference(system, phi)
     if not batch:
         assert type(system.energy(phi)) is float
 
@@ -215,14 +233,59 @@ def test_dense_cutoff(k, n, m, dense):
 @pytest.mark.parametrize("k, n, m", INDEX_SIZES)
 @pytest.mark.parametrize("batch", [(20,), (2, 4)])
 def test_index_form_is_batch_invariant(k, n, m, batch):
-    # the orders >= 4 part of each batch row equals its solo evaluation bit for bit
     system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=110 + k)[0])
-    phi = np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, n))
+    assert_batch_invariant(system, np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, n)))
+
+
+def assert_batch_invariant(system, phi):
+    """The orders >= 4 part of each batch row equals its solo evaluation bit for bit."""
+    n = system.num_spins
     energies = system._higher_energy(phi).reshape(-1)
     drifts = system._higher_drift(phi).reshape(-1, n)
     for row, state in enumerate(phi.reshape(-1, n)):
         assert energies[row] == system._higher_energy(state)
         assert np.array_equal(drifts[row], system._higher_drift(state))
+
+
+def with_repeated_and_cancelling_clauses(inst):
+    """``inst`` plus a second copy of its first clause and a copy of its second
+    clause with one literal's sign flipped, whose order-4 terms cancel that
+    clause's own: the stored terms then hold a tuple twice and a tuple whose
+    weights sum to 0."""
+    first, second = inst.clauses[:2]
+    flipped = (-second[0],) + second[1:]
+    return CnfInstance(inst.num_vars, inst.clauses + (first, flipped))
+
+
+# (N, M) of a desk CNF, small enough for every spin state, and of one past the
+# dense cutoff; K = 4
+REPEATED_SIZES = [(12, 30), (300, 750)]
+
+
+@pytest.mark.parametrize("n, m", REPEATED_SIZES, ids=["desk", "index"])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 4)])
+def test_repeated_and_cancelling_clauses_agree_with_dense_form(n, m, batch):
+    inst = with_repeated_and_cancelling_clauses(generate_planted_nae(n, m, 4, seed=120)[0])
+    system = NaeSystem.from_instance(inst)
+    assert (system._pattern is None) == (n > 256)
+    assert_exact_scaled_objective(system)
+    assert_agrees_with_dense_reference(system, np.random.default_rng(n).uniform(0, 2 * np.pi, (*batch, n)))
+
+
+def test_repeated_and_cancelling_clauses_lattice_energy_exhaustive():
+    inst = with_repeated_and_cancelling_clauses(generate_planted_nae(12, 30, 4, seed=120)[0])
+    system = NaeSystem.from_instance(inst, coupling=1.25, harmonic=5.0)
+    spins = np.array(list(product([-1, 1], repeat=12)))
+    unsat = inst.num_clauses - count_satisfied(inst, spins)
+    assert np.max(np.abs(system.energy(lattice_state(spins)) - (1.25 * 8 * unsat - 2.5 * 12))) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(20,), (2, 4)])
+def test_repeated_and_cancelling_clauses_index_form_is_batch_invariant(batch):
+    inst = with_repeated_and_cancelling_clauses(generate_planted_nae(300, 750, 4, seed=120)[0])
+    system = NaeSystem.from_instance(inst)
+    assert system._pattern is None
+    assert_batch_invariant(system, np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, 300)))
 
 
 def test_index_form_drift_is_negative_gradient_and_lattice_energy_exact():
