@@ -8,12 +8,12 @@ with xi standard normal.  Noise follows either a constant schedule or a
 linear decay that reaches zero at 80% of ``steps``.  Restart r draws its
 initial phases and its entire noise stream from a generator seeded with
 ``seed + r``, so results are bit-reproducible for a fixed (instance,
-config).  The restarts are evolved together as one batch, and the drift's
-floating-point sums depend on the batch shape: restart r replays bit for
-bit only inside a batch of the same ``restarts`` count, not as a solo run
-seeded ``seed + r`` (ROADMAP item 4).  Every restart integrates to the end
-of the loop; ``target`` only stops a restart's recording, and the loop ends
-early once every restart has stopped.
+config).  The restarts are evolved together as one batch; a cut restart r
+replays bit for bit as a solo run seeded ``seed + r``, but NAE's products
+with ``J`` and its dense pattern sum in an order set by the batch shape, so
+an NAE restart replays only in a batch of the same ``restarts`` count.
+Every restart integrates to the end of the loop; ``target`` only stops a
+restart's recording, and the loop ends early once every restart has stopped.
 
 ``run`` and ``lyapunov_audit`` share one step loop, ``_trajectory``.  A
 system supplies ``instance``, the CNF or hypergraph it was built from (``run``
@@ -92,8 +92,8 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RestartSummary:
-    """Outcome of one restart.  ``seed`` replays it bit for bit only in a batch
-    of the same ``restarts`` count, not in a solo run (see the module docstring).
+    """Outcome of one restart.  ``seed`` replays it bit for bit: as a solo run
+    for the cut, in a batch of the same ``restarts`` count for NAE (see above).
     ``stopped_early`` is ``steps_run < config.steps``: the restart reached
     ``target`` before the last step, and its recording stopped there."""
 

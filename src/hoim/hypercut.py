@@ -27,7 +27,8 @@ Edges share pairs, so the wrap, the penalty, the cosine and the sine run
 once per distinct pair; the factors and gains are then gathered to the
 edge slots, each edge padded to W = C(max edge size, 2) slots.  Pad slots
 hold pair 0, node 1 paired with itself: its d is 0 and f(0) = 0, so it
-reads factor 1 and gain 0 exactly.
+reads factor 1 and gain 0 exactly.  The gains go back to the nodes through
+NAE's index scatter, in O(M*W + N) storage; no sum crosses batch rows.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .instances import Hypergraph
+from .naesat import _index_scatter, _scatter_add
 
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
@@ -79,8 +81,8 @@ class CutSystem:
     The build numbers the pad pair 0 and the P distinct node pairs 1..P
     (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the M x W
     edge slots its pair id (``_slots``); pad slots take id 0.
-    ``_scatter`` maps slot gains to nodes, one row per slot in slot order,
-    pad rows zero."""
+    ``_scatter`` and ``_segments`` add the slot gains [g, -g] up by node;
+    a pad slot adds +-0 to node 1."""
 
     instance: Hypergraph
     k_partitions: int
@@ -112,15 +114,14 @@ class CutSystem:
         slots = np.array(flat, dtype=np.intp).reshape(len(edges), width)
         pairs = np.fromiter(chain.from_iterable(ids), np.intp, 2 * len(ids)).reshape(-1, 2) - 1
         pair_i, pair_j = np.ascontiguousarray(pairs.T)
-        # one scatter row per edge slot, in slot order; a pad row's +1 and -1 cancel
-        rows = np.arange(slots.size)
-        scatter = np.zeros((slots.size, self.instance.num_nodes))
-        scatter[rows, pair_i[slots.ravel()]] += 1.0
-        scatter[rows, pair_j[slots.ravel()]] -= 1.0
+        # slot s's +g_s goes to its pair's first node and -g_s to its second
+        keys = np.concatenate([pair_i[slots], pair_j[slots]], axis=None)
+        scatter, segments = _index_scatter(keys, self.instance.num_nodes)
         object.__setattr__(self, "_pair_i", pair_i)
         object.__setattr__(self, "_pair_j", pair_j)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_scatter", scatter)
+        object.__setattr__(self, "_segments", segments)
 
     @classmethod
     def from_hypergraph(cls, graph: Hypergraph, k: int, coupling: float | None = None,
@@ -170,9 +171,9 @@ class CutSystem:
         """
         phi = np.asarray(phases, dtype=float)
         factors = 0.5 * (1.0 + np.cos(self._pair_angles(phi, penalties)))
-        indicators = factors[..., self._slots].prod(axis=-1)
-        pinning = (self.harmonic / self.k_partitions) * np.cos(self.k_partitions * phi).sum(axis=-1)
-        out = self.coupling * indicators.sum(axis=-1) - pinning
+        indicators = np.add.reduceat(factors[..., self._slots].prod(axis=-1), [0], axis=-1)[..., 0]
+        pinning = np.add.reduceat(np.cos(self.k_partitions * phi), [0], axis=-1)[..., 0]
+        out = self.coupling * indicators - (self.harmonic / self.k_partitions) * pinning
         return float(out) if out.ndim == 0 else out
 
     def drift(self, phases) -> np.ndarray:
@@ -184,8 +185,8 @@ class CutSystem:
         # times the product of the edge's other pair factors: exclusive prefix, then suffix
         gain[..., 1:] *= np.cumprod(factors[..., :-1], axis=-1)
         gain[..., :-1] *= np.cumprod(factors[..., :0:-1], axis=-1)[..., ::-1]
-        flat = gain.reshape(*gain.shape[:-2], -1)
-        return flat @ self._scatter - self.harmonic * np.sin(self.k_partitions * phi)
+        coupled = _scatter_add(gain.reshape(*gain.shape[:-2], -1), self._scatter, self._segments)
+        return coupled - self.harmonic * np.sin(self.k_partitions * phi)
 
 
 def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:

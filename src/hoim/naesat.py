@@ -118,17 +118,15 @@ class NaeSystem:
             # time; the odd positions read -phi
             parity = [np.arange(t.shape[1]) % 2 for t in tuples]
             object.__setattr__(self, "_gather", tuple((t + n * p).T.copy() for t, p in zip(tuples, parity)))
-            # each variable's drift sums the entries of [g, -g, 0], g = w sin(psi),
-            # that its tuple positions read, plus the 0, so no segment is empty
+            # each variable's drift sums the entries of [g, -g, 0...], g = w sin(psi),
+            # that its tuple positions read, plus a 0, so no segment is empty
             starts = np.cumsum([0] + [len(t) for t in tuples])
             entries = np.concatenate([start + np.arange(len(t))[:, None] + n_terms * p
                                       for start, t, p in zip(starts, tuples, parity)]
                                      + [np.full(n, 2 * n_terms)], axis=None)
-            keys = np.concatenate([t.ravel() for t in tuples] + [np.arange(n)])
-            order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
+            order, segments = _index_scatter(np.concatenate([t.ravel() for t in tuples]), n)
             object.__setattr__(self, "_scatter", entries[order])
-            counts = np.bincount(keys, minlength=n)
-            object.__setattr__(self, "_segments", np.cumsum(counts) - counts)
+            object.__setattr__(self, "_segments", segments)
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
@@ -190,9 +188,23 @@ class NaeSystem:
         """The orders >= 4 part of the drift: +-w_t sin(psi_t) to each member of term t."""
         if self._pattern is not None:
             return (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
-        g = np.sin(self._psi(phi)) * self._weights
-        gains = np.concatenate([g, -g, np.zeros((*g.shape[:-1], 1))], axis=-1)
-        return np.add.reduceat(gains[..., self._scatter], self._segments, axis=-1)
+        return _scatter_add(np.sin(self._psi(phi)) * self._weights, self._scatter, self._segments)
+
+
+def _index_scatter(keys, n: int):
+    """Index form of a scatter-add into n variables: item e goes to variable
+    ``keys[e]``, then item len(keys) + v, a zero, to variable v, so no run is
+    empty.  Returns the items sorted stably by variable and each run's start."""
+    keys = np.concatenate([keys, np.arange(n)])
+    counts = np.bincount(keys, minlength=n)
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
+    return order, np.cumsum(counts) - counts
+
+
+def _scatter_add(g, scatter, segments):
+    """Add up [g, -g, 0...] by variable; no sum crosses batch rows."""
+    gains = np.concatenate([g, -g, np.zeros((*g.shape[:-1], len(segments)))], axis=-1)
+    return np.add.reduceat(gains[..., scatter], segments, axis=-1)
 
 
 def _pattern(n: int, tuples) -> np.ndarray:

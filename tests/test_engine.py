@@ -249,6 +249,21 @@ def test_run_cut_system_against_oracle():
         assert result.best_metric == best
 
 
+def test_cut_restart_replays_solo_from_its_seed():
+    # every step of the cut's energy and drift sums each batch row as it would
+    # sum it alone, so restart 5 of a batch seeded 7 is a solo run seeded 12
+    graph = generate_random_hypergraph(30, 60, 2, 4, 1)
+    system = CutSystem.from_hypergraph(graph, 3)
+    cfg = SolverConfig(dt=1e-2, steps=1000, noise_amplitude=3.0, noise_schedule="decay",
+                       restarts=8, seed=7, record_every=100)
+    batch = run(system, cfg, graph)
+    solo = run(system, replace(cfg, restarts=1, seed=12), graph)
+    rows = [(rec.step, rec.energy, rec.metric) for rec in batch.trace if rec.restart == 5]
+    assert len(rows) == 11
+    assert rows == [(rec.step, rec.energy, rec.metric) for rec in solo.trace]
+    assert replace(batch.restarts[5], restart=0, seed=12) == solo.restarts[0]
+
+
 def test_lyapunov_audit_requires_zero_noise():
     inst, system = nae_setup()
     with pytest.raises(ValueError, match="noise"):
