@@ -40,7 +40,7 @@ DEFAULT_DT = {"nae-sat": 1e-3, "hyper-maxcut": 1e-2}
 
 def _load_instance(args):
     """Parse ``args.input``: DIMACS CNF for nae-sat, a 'p hyp' hypergraph otherwise."""
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with open(args.input, "r", encoding="utf-8-sig") as handle:  # skips a byte-order mark
         text = handle.read()
     return (parse_dimacs if args.problem == "nae-sat" else parse_hypergraph)(text)
 
@@ -279,6 +279,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InstanceError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size past numpy's integers, before any allocation
+        print(f"error: instance too large to allocate ({exc})", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

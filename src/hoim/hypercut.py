@@ -24,17 +24,16 @@ dropped when differentiating), giving the leave-one-out form
 which avoids the 0/0 of dividing the indicator by a vanishing factor.
 
 Edges share pairs, so the wrap, the penalty, the cosine and the sine run
-once per distinct pair; the factors and gains are then gathered to the
-edge slots, each edge padded to W = C(max edge size, 2) slots.  Pad slots
-hold pair 0, node 1 paired with itself: its d is 0 and f(0) = 0, so it
-reads factor 1 and gain 0 exactly.  The gains go back to the nodes through
-NAE's index scatter, in O(M*W + N) storage; no sum crosses batch rows.
+once per distinct pair: one ``np.unique`` numbers the keys i*N + j (N < 3e9
+keeps N*N in int64) of the W = C(max edge size, 2) position-pair slots per
+``edge_nodes`` row.  A slot past its edge's size keys 0, pair 0, node 1 with
+itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.  NAE's index
+scatter sums the gains by node, in O(M*W + N) storage, within each batch row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -78,9 +77,9 @@ def phase_penalty(delta, k: int, sigma: float):
 class CutSystem:
     """Energy/drift evaluator for Max-K-Cut on one hypergraph.
 
-    The build numbers the pad pair 0 and the P distinct node pairs 1..P
-    (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the M x W
-    edge slots its pair id (``_slots``); pad slots take id 0.
+    The build numbers the pad pair 0 and the P distinct node pairs 1..P in
+    key order (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the
+    M x W edge slots its pair id (``_slots``); pad slots take id 0.
     ``_scatter`` and ``_segments`` add the slot gains [g, -g] up by node;
     a pad slot adds +-0 to node 1."""
 
@@ -101,22 +100,19 @@ class CutSystem:
         if not 0 < self.sigma < bound:
             raise ValueError(f"sigma must be positive and below 2*pi/(8K) = {bound:.6g} "
                              f"for K={self.k_partitions}, got {self.sigma}")
-        # one pass over the edges numbers the distinct pairs and fills the
-        # slots; the pad (node 1 with itself) is registered first, as pair 0
-        edges = self.instance.hyperedges
-        width = max(len(e) * (len(e) - 1) // 2 for e in edges)
-        ids = {(1, 1): 0}
-        flat = []
-        for e in edges:
-            for pair in combinations(e, 2):
-                flat.append(ids.setdefault(pair, len(ids)))
-            flat += [0] * (width - len(e) * (len(e) - 1) // 2)
-        slots = np.array(flat, dtype=np.intp).reshape(len(edges), width)
-        pairs = np.fromiter(chain.from_iterable(ids), np.intp, 2 * len(ids)).reshape(-1, 2) - 1
-        pair_i, pair_j = np.ascontiguousarray(pairs.T)
+        # slot (a, b), a < b in lexicographic order, keys its node pair i*N + j; past
+        # the edge's size, position b repeats the first node and the slot keys 0, the pad
+        nodes, n = self.instance.edge_nodes, self.instance.num_nodes
+        positions = np.arange(nodes.shape[1])
+        a, b = np.nonzero(positions[:, None] < positions)
+        second = nodes[:, b]
+        pair_keys = np.where(second == nodes[:, :1], 0, nodes[:, a] * n + second)
+        pairs, slots = np.unique(np.concatenate([[0], pair_keys.ravel()]), return_inverse=True)
+        pair_i, pair_j = np.divmod(pairs, n)
+        slots = slots[1:].reshape(pair_keys.shape)
         # slot s's +g_s goes to its pair's first node and -g_s to its second
         keys = np.concatenate([pair_i[slots], pair_j[slots]], axis=None)
-        scatter, segments = _index_scatter(keys, self.instance.num_nodes)
+        scatter, segments = _index_scatter(keys, n)
         object.__setattr__(self, "_pair_i", pair_i)
         object.__setattr__(self, "_pair_j", pair_j)
         object.__setattr__(self, "_slots", slots)

@@ -122,7 +122,7 @@ class Hypergraph:
     @cached_property
     def edge_nodes(self) -> np.ndarray:
         """Read-only zero-based (M, max edge size) node array; each row is padded
-        with its edge's first node, which leaves the edge's label set unchanged."""
+        with its first node, which keeps its label set and marks the cut's pad slots."""
         width = self.max_edge_size
         nodes = np.array([e + (e[0],) * (width - len(e)) for e in self.hyperedges], dtype=np.intp) - 1
         nodes.flags.writeable = False

@@ -264,6 +264,25 @@ def test_instance_too_large_to_allocate_exits_2(nae_file, hyp_file, command, pro
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_header_past_numpy_integers_exits_2(tmp_path, command, capsys):
+    # N*N overflows the NAE pair table's length before anything is allocated
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 99999999999 1\n1 2 0\n")
+    assert main([command, "--problem", "nae-sat", "--input", str(path), "--steps", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance too large")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", ["nae-sat", "hyper-maxcut"])
+def test_solve_reads_input_behind_a_byte_order_mark(nae_file, hyp_file, tmp_path, problem):
+    source, extra = (nae_file, []) if problem == "nae-sat" else (hyp_file, ["--k", "3"])
+    path = tmp_path / f"bom{source.suffix}"
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert main(["solve", "--problem", problem, "--input", str(path), *extra, "--steps", "10"]) == 0
+
+
 def test_oracle_command_nae(nae_file, capsys):
     assert main(["oracle", "--problem", "nae-sat", "--input", str(nae_file)]) == 0
     out = capsys.readouterr().out

@@ -148,6 +148,29 @@ def test_padding_pairs_exact_when_node_1_is_in_no_edge():
     assert_pads_exact(make_system(Hypergraph(5, ((2, 3), (2, 4, 5))), 3), 4, 2)
 
 
+@pytest.mark.parametrize("edges", [
+    # a 2-, 3- and 4-node edge share pairs (2, 3) and (1, 3); the 3-node edge
+    # holds real pairs in slots 0, 1 and 3 of 6, with pads between them
+    ((2, 3), (1, 2, 3), (1, 3, 5, 6), (4, 6)),
+    # every slot holds a real pair: pair 0 is still the pad, and no slot uses it
+    ((1, 2, 3), (2, 3, 4), (3, 4, 5)),
+])
+def test_pair_table_holds_each_slots_node_pair(edges):
+    # slot s of an edge is position pair s, lexicographic over the widest edge;
+    # a real slot holds its edge's node pair and a pad slot pair 0 = (0, 0)
+    graph = Hypergraph(max(map(max, edges)), edges)
+    system = make_system(graph, 3)
+    pairs = np.stack([system._pair_i, system._pair_j], axis=-1)
+    assert tuple(pairs[0]) == (0, 0)
+    for m, edge in enumerate(edges):
+        for s, (a, b) in enumerate(combinations(range(graph.max_edge_size), 2)):
+            expected = (edge[a] - 1, edge[b] - 1) if b < len(edge) else (0, 0)
+            assert tuple(pairs[system._slots[m, s]]) == expected
+            assert (system._slots[m, s] == 0) == (b >= len(edge))
+    distinct = {(i - 1, j - 1) for e in edges for i, j in combinations(e, 2)}
+    assert sorted(map(tuple, pairs[1:].tolist())) == sorted(distinct)
+
+
 def padded_reference(system, phases, state):
     """The former per-slot evaluation: wrap, penalty, cos and sin for every
     one of the (M, W) edge slots, short edges padded with (first node, first
@@ -455,6 +478,8 @@ def test_leave_one_out_equals_quotient_form():
     # wherever no pair factor vanishes, drift agrees with the form that
     # divides the edge indicator by the pair's own factor
     graph = generate_random_hypergraph(8, 12, 2, 4, seed=9)
+    # slot columns run over the lexicographic position pairs of the widest edge
+    column = {pair: col for col, pair in enumerate(combinations(range(graph.max_edge_size), 2))}
     for k in (2, 3, 4):
         system = make_system(graph, k)
         rng = np.random.default_rng(10 + k)
@@ -468,13 +493,11 @@ def test_leave_one_out_equals_quotient_form():
             indicators = factors.prod(axis=-1)
             drift_quotient = -system.harmonic * np.sin(k * phi)
             for row, edge in enumerate(graph.hyperedges):
-                col = 0
-                for a in range(len(edge)):
-                    for b in range(a + 1, len(edge)):
-                        gain = gains[row, col] * indicators[row] / factors[row, col]
-                        drift_quotient[edge[a] - 1] += gain
-                        drift_quotient[edge[b] - 1] -= gain
-                        col += 1
+                for a, b in combinations(range(len(edge)), 2):
+                    col = column[a, b]
+                    gain = gains[row, col] * indicators[row] / factors[row, col]
+                    drift_quotient[edge[a] - 1] += gain
+                    drift_quotient[edge[b] - 1] -= gain
             drift = system.drift(phi)
             rel = np.max(np.abs(drift - drift_quotient)) / np.max(np.abs(drift))
             assert rel < 1e-8
