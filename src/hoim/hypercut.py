@@ -27,8 +27,12 @@ Edges share pairs, so the wrap, the penalty, the cosine and the sine run
 once per distinct pair: one ``np.unique`` numbers the keys i*N + j (N < 3e9
 keeps N*N in int64) of the W = C(max edge size, 2) position-pair slots per
 ``edge_nodes`` row.  A slot past its edge's size keys 0, pair 0, node 1 with
-itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.  NAE's index
-scatter sums the gains by node, in O(M*W + N) storage, within each batch row.
+itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.  Evaluation is
+node-major: phases are read as phi.T, so every pair row and every one of the
+W slot rows holds a contiguous block over the batch, and the leave-one-out
+product is an exclusive prefix pass over the slot rows, then a suffix pass.
+The gains [g, -g] are summed by node in edge-major slot order, in O(M*W + N)
+storage, with one sorted-segment ``reduceat`` that never crosses batch rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Hypergraph
-from .naesat import _index_scatter, _scatter_add
+from .naesat import _index_scatter
 
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
@@ -63,13 +67,13 @@ def phase_penalty(delta, k: int, sigma: float):
     ``delta`` is expected in (-pi, pi]; for K = 2 the amplitude is 0."""
     if k < 2:
         raise ValueError("need at least 2 partitions")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     d = np.asarray(delta, dtype=float)
     size = np.abs(d)
-    j = np.clip(np.rint(size * (k / TWO_PI)), 1, k - 1)
+    j = np.minimum(np.maximum(np.rint(size * (k / TWO_PI)), 1), k - 1)
     centre = TWO_PI * j / k
-    bump = np.exp(np.maximum(-((size - centre) ** 2) / (2.0 * sigma**2), _EXP_FLOOR))
+    bump = np.exp(np.maximum((size - centre) ** 2 / (-2.0 * sigma**2), _EXP_FLOOR))
     return np.sign(d) * ((2.0 * j - 1.0) * np.pi - centre) * bump
 
 
@@ -79,9 +83,10 @@ class CutSystem:
 
     The build numbers the pad pair 0 and the P distinct node pairs 1..P in
     key order (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the
-    M x W edge slots its pair id (``_slots``); pad slots take id 0.
-    ``_scatter`` and ``_segments`` add the slot gains [g, -g] up by node;
-    a pad slot adds +-0 to node 1."""
+    W x M edge slots its pair id (``_slots``, one row per slot position);
+    pad slots take id 0.  Evaluation reads phases node-major, as phi.T.
+    ``_scatter`` and ``_segments`` add the slot gains [g, -g] up by node in
+    edge-major slot order; a pad slot adds +-0 to node 1."""
 
     instance: Hypergraph
     k_partitions: int
@@ -100,6 +105,9 @@ class CutSystem:
         if not 0 < self.sigma < bound:
             raise ValueError(f"sigma must be positive and below 2*pi/(8K) = {bound:.6g} "
                              f"for K={self.k_partitions}, got {self.sigma}")
+        if 2.0 * self.sigma**2 == 0:
+            raise ValueError(f"sigma {self.sigma} is too small: 2*sigma**2 underflows to 0, "
+                             f"so the penalty bump reads 0/0 at the lattice points")
         # slot (a, b), a < b in lexicographic order, keys its node pair i*N + j; past
         # the edge's size, position b repeats the first node and the slot keys 0, the pad
         nodes, n = self.instance.edge_nodes, self.instance.num_nodes
@@ -110,12 +118,13 @@ class CutSystem:
         pairs, slots = np.unique(np.concatenate([[0], pair_keys.ravel()]), return_inverse=True)
         pair_i, pair_j = np.divmod(pairs, n)
         slots = slots[1:].reshape(pair_keys.shape)
-        # slot s's +g_s goes to its pair's first node and -g_s to its second
+        # slot s's +g_s goes to its pair's first node and -g_s to its second, edge-major
         keys = np.concatenate([pair_i[slots], pair_j[slots]], axis=None)
         scatter, segments = _index_scatter(keys, n)
         object.__setattr__(self, "_pair_i", pair_i)
         object.__setattr__(self, "_pair_j", pair_j)
-        object.__setattr__(self, "_slots", slots)
+        # stored (W, M): one contiguous row per slot position for the node-major gathers
+        object.__setattr__(self, "_slots", slots.T.copy())
         object.__setattr__(self, "_scatter", scatter)
         object.__setattr__(self, "_segments", segments)
 
@@ -136,12 +145,13 @@ class CutSystem:
         return self.instance.num_nodes
 
     def _pair_deltas(self, phi):
-        """Wrapped differences d = wrap(phi_i - phi_j) per pair, shape (..., P+1)."""
-        return wrap_angle(phi[..., self._pair_i] - phi[..., self._pair_j])
+        """Wrapped differences d = wrap(phi_i - phi_j) per pair, node-major:
+        ``phi`` is (N, ...), as phases.T, and the result (P+1, ...)."""
+        return wrap_angle(np.take(phi, self._pair_i, axis=0) - np.take(phi, self._pair_j, axis=0))
 
     def _pair_angles(self, phi, penalties=None):
-        """d + f(d) per pair, shape (..., P+1); index it with ``_slots`` to
-        reach the edge slots."""
+        """d + f(d) per pair, node-major: ``phi`` (N, ...), ``penalties`` and
+        the result (P+1, ...); take rows ``_slots`` to reach the edge slots."""
         deltas = self._pair_deltas(phi)
         if penalties is None:
             penalties = phase_penalty(deltas, self.k_partitions, self.sigma)
@@ -150,8 +160,8 @@ class CutSystem:
     def pair_penalties(self, phases) -> np.ndarray:
         """Penalty values f(d_ij) per pair, pad included, shape (..., P+1),
         at the current state (frozen-f helper)."""
-        deltas = self._pair_deltas(np.asarray(phases, dtype=float))
-        return phase_penalty(deltas, self.k_partitions, self.sigma)
+        deltas = self._pair_deltas(np.asarray(phases, dtype=float).T)
+        return phase_penalty(deltas, self.k_partitions, self.sigma).T
 
     def frozen_energy(self, state):
         """Energy with f frozen at ``state``; ``drift`` is its exact negative
@@ -166,8 +176,15 @@ class CutSystem:
         state) to evaluate the energy with f frozen.
         """
         phi = np.asarray(phases, dtype=float)
-        factors = 0.5 * (1.0 + np.cos(self._pair_angles(phi, penalties)))
-        indicators = np.add.reduceat(factors[..., self._slots].prod(axis=-1), [0], axis=-1)[..., 0]
+        if penalties is not None:
+            # batch axes broadcast from the right of the (..., N) and (..., P+1) shapes
+            penalties = np.asarray(penalties, dtype=float)
+            lead = penalties.ndim - phi.ndim
+            phi = phi.reshape((1,) * lead + phi.shape)
+            penalties = penalties.reshape((1,) * -lead + penalties.shape).T
+        factors = 0.5 * (1.0 + np.cos(self._pair_angles(phi.T, penalties)))
+        edges = np.take(factors, self._slots, axis=0).prod(axis=0)
+        indicators = np.add.reduceat(edges, [0], axis=0)[0].T
         pinning = np.add.reduceat(np.cos(self.k_partitions * phi), [0], axis=-1)[..., 0]
         out = self.coupling * indicators - (self.harmonic / self.k_partitions) * pinning
         return float(out) if out.ndim == 0 else out
@@ -175,14 +192,25 @@ class CutSystem:
     def drift(self, phases) -> np.ndarray:
         """dphi/dt with f treated as locally constant (leave-one-out form)."""
         phi = np.asarray(phases, dtype=float)
-        angles = self._pair_angles(phi)
-        factors = (0.5 * (1.0 + np.cos(angles)))[..., self._slots]
-        gain = (0.5 * self.coupling * np.sin(angles))[..., self._slots]
-        # times the product of the edge's other pair factors: exclusive prefix, then suffix
-        gain[..., 1:] *= np.cumprod(factors[..., :-1], axis=-1)
-        gain[..., :-1] *= np.cumprod(factors[..., :0:-1], axis=-1)[..., ::-1]
-        coupled = _scatter_add(gain.reshape(*gain.shape[:-2], -1), self._scatter, self._segments)
-        return coupled - self.harmonic * np.sin(self.k_partitions * phi)
+        angles = self._pair_angles(phi.T)
+        factors = np.take(0.5 * (1.0 + np.cos(angles)), self._slots, axis=0)
+        gain = np.take(0.5 * self.coupling * np.sin(angles), self._slots, axis=0)
+        # times the product of the edge's other pair factors: an exclusive prefix
+        # pass over the W slot rows, then a suffix pass, multiplying as cumprod does
+        w, m = self._slots.shape
+        for rows in (range(w), range(w - 1, -1, -1)):
+            run = factors[rows[0]]
+            for s in rows[1:]:
+                gain[s] *= run
+                if s != rows[-1]:
+                    run = run * factors[s]
+        # rows [g, -g, 0...] with g in edge-major slot order, summed by node
+        size = m * w
+        entries = np.zeros((2 * size + len(self._segments), *gain.shape[2:]))
+        entries[:size].reshape(m, w, *gain.shape[2:])[...] = gain.swapaxes(0, 1)
+        np.negative(entries[:size], out=entries[size:2 * size])
+        coupled = np.add.reduceat(np.take(entries, self._scatter, axis=0), self._segments, axis=0)
+        return coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
 
 
 def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:

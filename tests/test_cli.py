@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,16 @@ def test_non_finite_step_or_noise_exits_2(nae_file, command, flag, value, messag
     assert main([command, "--problem", "nae-sat", "--input", str(nae_file),
                  "--steps", "10", flag, value]) == 2
     assert f"error: {message} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_sigma_whose_square_underflows_exits_2(hyp_file, command, capsys):
+    # 2*sigma**2 == 0 would read 0/0 in every penalty bump: exit 2 before any step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--problem", "hyper-maxcut", "--k", "3", "--input", str(hyp_file),
+                     "--steps", "10", "--sigma", "1e-300"]) == 2
+    assert capsys.readouterr().err.startswith("error: sigma 1e-300 is too small")
 
 
 @pytest.mark.parametrize("argv", [

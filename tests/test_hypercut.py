@@ -116,11 +116,12 @@ def make_system(graph, k, sigma=SIGMA, coupling=None, harmonic=None):
 
 
 def slot_factors_and_gains(system, phi):
-    """Pair factors and drift gains (A/2) sin(d + f) at the edge slots, (..., M, W)."""
-    angles = system._pair_angles(phi)
+    """Pair factors and drift gains (A/2) sin(d + f) at the edge slots,
+    node-major: (W, M, ...) for phases of shape (..., N)."""
+    angles = system._pair_angles(np.asarray(phi).T)
     factors = 0.5 * (1.0 + np.cos(angles))
     gains = 0.5 * system.coupling * np.sin(angles)
-    return factors[..., system._slots], gains[..., system._slots]
+    return factors[system._slots], gains[system._slots]
 
 
 def assert_pads_exact(system, num_pairs, num_pads):
@@ -129,12 +130,12 @@ def assert_pads_exact(system, num_pairs, num_pads):
     assert pad.sum() == num_pads
     phi = np.random.default_rng(21).uniform(0, 2 * np.pi, (4, system.num_spins))
     factors, gains = slot_factors_and_gains(system, phi)
-    assert np.all(factors[..., pad] == 1.0)
-    assert np.all(gains[..., pad] == 0.0)  # the pair's drift gain
+    assert np.all(factors[pad] == 1.0)
+    assert np.all(gains[pad] == 0.0)  # the pair's drift gain
     # each pad slot's + and - entries add up into node 1, the pad pair's node,
-    # where they add +-0
+    # where they add +-0; the scatter numbers the slots edge-major
     node_1 = np.split(system._scatter, system._segments[1:])[0]
-    slot = np.flatnonzero(pad.ravel())
+    slot = np.flatnonzero(pad.T)
     assert set(slot) | set(slot + pad.size) <= set(node_1)
 
 
@@ -165,8 +166,8 @@ def test_pair_table_holds_each_slots_node_pair(edges):
     for m, edge in enumerate(edges):
         for s, (a, b) in enumerate(combinations(range(graph.max_edge_size), 2)):
             expected = (edge[a] - 1, edge[b] - 1) if b < len(edge) else (0, 0)
-            assert tuple(pairs[system._slots[m, s]]) == expected
-            assert (system._slots[m, s] == 0) == (b >= len(edge))
+            assert tuple(pairs[system._slots[s, m]]) == expected
+            assert (system._slots[s, m] == 0) == (b >= len(edge))
     distinct = {(i - 1, j - 1) for e in edges for i, j in combinations(e, 2)}
     assert sorted(map(tuple, pairs[1:].tolist())) == sorted(distinct)
 
@@ -478,8 +479,8 @@ def test_leave_one_out_equals_quotient_form():
     # wherever no pair factor vanishes, drift agrees with the form that
     # divides the edge indicator by the pair's own factor
     graph = generate_random_hypergraph(8, 12, 2, 4, seed=9)
-    # slot columns run over the lexicographic position pairs of the widest edge
-    column = {pair: col for col, pair in enumerate(combinations(range(graph.max_edge_size), 2))}
+    # slot rows run over the lexicographic position pairs of the widest edge
+    slot_row = {pair: s for s, pair in enumerate(combinations(range(graph.max_edge_size), 2))}
     for k in (2, 3, 4):
         system = make_system(graph, k)
         rng = np.random.default_rng(10 + k)
@@ -490,12 +491,12 @@ def test_leave_one_out_equals_quotient_form():
             if np.min(factors) <= 1e-9:  # padding factors are exactly 1
                 continue
             checked += 1
-            indicators = factors.prod(axis=-1)
+            indicators = factors.prod(axis=0)
             drift_quotient = -system.harmonic * np.sin(k * phi)
-            for row, edge in enumerate(graph.hyperedges):
+            for m, edge in enumerate(graph.hyperedges):
                 for a, b in combinations(range(len(edge)), 2):
-                    col = column[a, b]
-                    gain = gains[row, col] * indicators[row] / factors[row, col]
+                    s = slot_row[a, b]
+                    gain = gains[s, m] * indicators[m] / factors[s, m]
                     drift_quotient[edge[a] - 1] += gain
                     drift_quotient[edge[b] - 1] -= gain
             drift = system.drift(phi)
@@ -585,6 +586,49 @@ def test_sigma_invariant_enforced():
             CutSystem.from_hypergraph(graph, k, sigma=sigma)
     with pytest.raises(ValueError):
         CutSystem(instance=graph, k_partitions=1, coupling=10.0, harmonic=10.0)
+
+
+def test_sigma_whose_square_underflows_is_rejected():
+    # 2*sigma**2 == 0 would make the bump exponent 0/0, so the energy and the
+    # drift read NaN at every labelled state
+    graph = Hypergraph(3, ((1, 2, 3),))
+    with pytest.raises(ValueError, match="too small: 2\\*sigma\\*\\*2 underflows to 0"):
+        CutSystem.from_hypergraph(graph, 3, sigma=1e-300)
+    # a tiny sigma whose square stays normal gives finite values on the lattice
+    system = CutSystem.from_hypergraph(graph, 3, sigma=1e-150)
+    phi = label_state([0, 1, 2], 3)
+    assert np.isfinite(system.energy(phi)) and np.all(np.isfinite(system.drift(phi)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+def test_phase_penalty_rejects_a_sigma_that_is_not_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        phase_penalty(np.array([0.0, 2 * np.pi / 3]), 3, sigma)
+
+
+def test_frozen_penalties_of_one_state_broadcast_over_a_batch():
+    # P + 1 = 5 pairs (pad included) and R = 5 restarts: penalties of shape
+    # (P+1,) applied along the restart axis would raise no error, only give
+    # wrong numbers, so each row is held to its solo evaluation
+    graph = Hypergraph(4, ((1, 2, 3), (2, 4)))
+    system = make_system(graph, 3)
+    state = label_state([0, 1, 2, 0], 3) + SIGMA * np.array([0.9, -1.1, 1.0, -0.8])
+    penalties = system.pair_penalties(state)
+    assert penalties.shape == (5,)
+    assert np.max(np.abs(penalties)) > 0.5  # the pairs sit on their bumps
+    batch = state + SIGMA * np.random.default_rng(22).normal(size=(5, 4))
+    energies = system.energy(batch, penalties=penalties)
+    assert energies.shape == (5,)
+    for row in range(5):
+        assert energies[row] == system.energy(batch[row], penalties=penalties)
+    batch_penalties = system.pair_penalties(batch)
+    assert batch_penalties.shape == batch.shape[:-1] + (5,)
+    stacked = np.stack([batch, batch[::-1]])
+    assert system.pair_penalties(stacked).shape == stacked.shape[:-1] + (5,)
+    # a batch of penalties over one state broadcasts the other way
+    energies = system.energy(state, penalties=batch_penalties)
+    for row in range(5):
+        assert energies[row] == system.energy(state, penalties=batch_penalties[row])
 
 
 def test_default_constants_flag():
