@@ -31,8 +31,8 @@ itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.  Evaluation is
 node-major: phases are read as phi.T, so every pair row and every one of the
 W slot rows holds a contiguous block over the batch, and the leave-one-out
 product is an exclusive prefix pass over the slot rows, then a suffix pass.
-The gains [g, -g] are summed by node in edge-major slot order, in O(M*W + N)
-storage, with one sorted-segment ``reduceat`` that never crosses batch rows.
+The gains go in edge-major slot order to ``naesat._scatter_add``, the sparse
+NAE path's node-major sum of rows [g, -g, 0...] by node, in O(M*W + N) storage.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Hypergraph
-from .naesat import _index_scatter
+from .naesat import _index_scatter, _scatter_add
 
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
 _EXP_FLOOR = -700.0  # e^-700 ~ 1e-304 is negligible; exp underflows slowly below it
+SIGMA_MIN = np.pi / np.sqrt(np.finfo(float).max)  # keeps the bump exponent below float max / 2
 
 
 def default_constants(k: int) -> tuple[float, float, bool]:
@@ -105,9 +106,9 @@ class CutSystem:
         if not 0 < self.sigma < bound:
             raise ValueError(f"sigma must be positive and below 2*pi/(8K) = {bound:.6g} "
                              f"for K={self.k_partitions}, got {self.sigma}")
-        if 2.0 * self.sigma**2 == 0:
-            raise ValueError(f"sigma {self.sigma} is too small: 2*sigma**2 underflows to 0, "
-                             f"so the penalty bump reads 0/0 at the lattice points")
+        if self.sigma < SIGMA_MIN:
+            raise ValueError(f"sigma {self.sigma} is too small: below pi/sqrt(float max) = {SIGMA_MIN:.3g}, "
+                             f"the penalty bump's exponent (size - centre)**2 / (2*sigma**2) can overflow")
         # slot (a, b), a < b in lexicographic order, keys its node pair i*N + j; past
         # the edge's size, position b repeats the first node and the slot keys 0, the pad
         nodes, n = self.instance.edge_nodes, self.instance.num_nodes
@@ -204,12 +205,8 @@ class CutSystem:
                 gain[s] *= run
                 if s != rows[-1]:
                     run = run * factors[s]
-        # rows [g, -g, 0...] with g in edge-major slot order, summed by node
-        size = m * w
-        entries = np.zeros((2 * size + len(self._segments), *gain.shape[2:]))
-        entries[:size].reshape(m, w, *gain.shape[2:])[...] = gain.swapaxes(0, 1)
-        np.negative(entries[:size], out=entries[size:2 * size])
-        coupled = np.add.reduceat(np.take(entries, self._scatter, axis=0), self._segments, axis=0)
+        # the gains in edge-major slot order, summed by node
+        coupled = _scatter_add(gain.swapaxes(0, 1).reshape(m * w, *gain.shape[2:]), self._scatter, self._segments)
         return coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
 
 

@@ -21,10 +21,10 @@ and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 for one cos and
 one sin per phase.  Each order >= 4 is M * C(K, r) ascending tuples.
 While at least 1/64 of an alternating-sign (N, T) pattern would be nonzero
 (``DENSE_FILL``), the terms are its columns and psi = phi @ pattern.
-Sparser instances (for K = 4, N > 256) gather psi from [phi, -phi] and
-scatter the drift back by variable; every step of that form is
-elementwise, a gather or a per-row reduction, so each batch row is
-evaluated exactly as it would be alone.
+Sparser instances (for K = 4, N > 256) gather psi node-major, from the
+rows of [phi.T, -phi.T], and ``_scatter_add`` sums the drift back by variable
+as it does the cut's; every step of that form is elementwise, a gather or a
+per-column reduction, so each batch row is evaluated exactly as it would be alone.
 The drift is the exact negative gradient: the pairs give
 s * (J c) - c * (J s), a higher-order term w cos(psi) gives +/- w sin(psi)
 to each member phase, the sign given by the member's position parity in
@@ -79,8 +79,8 @@ class NaeSystem:
     per order, in clause order) and ``_weights`` (+-1 each).  Those terms
     are evaluated through the dense ``_pattern`` when
     N * T <= DENSE_FILL * nnz, nnz = sum_r r * T_r, and otherwise through
-    index arrays (``_pattern`` is None): ``_gather`` reads psi from
-    [phi, -phi], ``_scatter`` and ``_segments`` add +-w sin(psi) back up by
+    index arrays (``_pattern`` is None): ``_gather`` reads psi from the rows of
+    [phi.T, -phi.T], ``_scatter`` and ``_segments`` add +-w sin(psi) back up by
     variable.  The clause count supplies the +1-per-clause energy offset.
     """
 
@@ -114,8 +114,8 @@ class NaeSystem:
         object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + weights))
         object.__setattr__(self, "_pattern", _pattern(n, tuples) if dense else None)
         if not dense:
-            # psi adds up the signed phases [phi, -phi] one tuple position at a
-            # time; the odd positions read -phi
+            # psi adds up the signed phase rows [phi.T, -phi.T] one tuple position
+            # at a time; the odd positions read -phi
             parity = [np.arange(t.shape[1]) % 2 for t in tuples]
             object.__setattr__(self, "_gather", tuple((t + n * p).T.copy() for t, p in zip(tuples, parity)))
             # each variable's drift sums the entries of [g, -g, 0...], g = w sin(psi),
@@ -166,29 +166,29 @@ class NaeSystem:
 
     def _psi(self, phi):
         """The alternating phase sum of every order >= 4 term (index form),
-        added up position by position."""
-        signed = np.concatenate([phi, -phi], axis=-1)
+        added up position by position, node-major: (T, ...) from ``phi`` (..., N)."""
+        signed = np.concatenate([phi.T, -phi.T])
         parts = []
         for positions in self._gather:
-            psi = signed[..., positions[0]]
+            psi = np.take(signed, positions[0], axis=0)
             for p in positions[1:]:
-                psi += signed[..., p]
+                psi += np.take(signed, p, axis=0)
             parts.append(psi)
-        return np.concatenate(parts, axis=-1)
+        return np.concatenate(parts)
 
     def _higher_energy(self, phi):
         """sum_t w_t cos(psi_t) over the orders >= 4."""
         if self._pattern is not None:
             return np.cos(phi @ self._pattern) @ self._weights
-        # one reduceat segment sums each row on its own: .sum(-1) would sum the
-        # batch rows of the gather's layout in another order than a solo row
-        return np.add.reduceat(np.cos(self._psi(phi)) * self._weights, [0], axis=-1)[..., 0]
+        # one reduceat segment sums each column on its own: .sum(0) would sum the
+        # batch columns of the gather's layout in another order than a solo one
+        return np.add.reduceat((np.cos(self._psi(phi)).T * self._weights).T, [0], axis=0)[0].T
 
     def _higher_drift(self, phi):
         """The orders >= 4 part of the drift: +-w_t sin(psi_t) to each member of term t."""
         if self._pattern is not None:
             return (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
-        return _scatter_add(np.sin(self._psi(phi)) * self._weights, self._scatter, self._segments)
+        return _scatter_add((np.sin(self._psi(phi)).T * self._weights).T, self._scatter, self._segments).T
 
 
 def _index_scatter(keys, n: int):
@@ -202,9 +202,12 @@ def _index_scatter(keys, n: int):
 
 
 def _scatter_add(g, scatter, segments):
-    """Add up [g, -g, 0...] by variable; no sum crosses batch rows."""
-    gains = np.concatenate([g, -g, np.zeros((*g.shape[:-1], len(segments)))], axis=-1)
-    return np.add.reduceat(gains[..., scatter], segments, axis=-1)
+    """Add up the rows [g, -g, 0...] by variable, node-major: ``g`` is
+    (items, ...), the result (N, ...); no sum crosses batch columns."""
+    gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
+    gains[:len(g)] = g
+    np.negative(g, out=gains[len(g):2 * len(g)])
+    return np.add.reduceat(np.take(gains, scatter, axis=0), segments, axis=0)
 
 
 def _pattern(n: int, tuples) -> np.ndarray:

@@ -203,12 +203,14 @@ def test_non_finite_step_or_noise_exits_2(nae_file, command, flag, value, messag
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
 def test_sigma_whose_square_underflows_exits_2(hyp_file, command, capsys):
-    # 2*sigma**2 == 0 would read 0/0 in every penalty bump: exit 2 before any step
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--problem", "hyper-maxcut", "--k", "3", "--input", str(hyp_file),
-                     "--steps", "10", "--sigma", "1e-300"]) == 2
-    assert capsys.readouterr().err.startswith("error: sigma 1e-300 is too small")
+    # 2*sigma**2 == 0 (1e-300) would read 0/0 in every penalty bump, and a subnormal
+    # 2*sigma**2 (1e-160) would overflow the bump exponent: exit 2 before any step
+    for sigma in ("1e-300", "1e-160"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--problem", "hyper-maxcut", "--k", "3", "--input", str(hyp_file),
+                         "--steps", "10", "--sigma", sigma]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sigma {sigma} is too small")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import warnings
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hoim.hypercut import (
+    SIGMA_MIN,
     CutSystem,
     count_cut,
     default_constants,
@@ -215,7 +217,7 @@ def padded_reference(system, phases, state):
     others[..., -1] = 1.0
     gain *= others
     flat = gain.reshape(*gain.shape[:-2], -1)
-    drift = _scatter_add(flat, scatter, segments) - system.harmonic * np.sin(k * phases)
+    drift = _scatter_add(flat.T, scatter, segments).T - system.harmonic * np.sin(k * phases)
     return energy(phases), drift, energy(phases, geometry(state)[1])
 
 
@@ -589,15 +591,25 @@ def test_sigma_invariant_enforced():
 
 
 def test_sigma_whose_square_underflows_is_rejected():
-    # 2*sigma**2 == 0 would make the bump exponent 0/0, so the energy and the
-    # drift read NaN at every labelled state
+    # 2*sigma**2 == 0 at 1e-300 would make the bump exponent 0/0, NaN at every
+    # labelled state; at 1e-160 it is subnormal and (size - centre)**2 / (2*sigma**2)
+    # overflows, a warning at every evaluation.  The build refuses both.
     graph = Hypergraph(3, ((1, 2, 3),))
-    with pytest.raises(ValueError, match="too small: 2\\*sigma\\*\\*2 underflows to 0"):
-        CutSystem.from_hypergraph(graph, 3, sigma=1e-300)
-    # a tiny sigma whose square stays normal gives finite values on the lattice
-    system = CutSystem.from_hypergraph(graph, 3, sigma=1e-150)
-    phi = label_state([0, 1, 2], 3)
-    assert np.isfinite(system.energy(phi)) and np.all(np.isfinite(system.drift(phi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match=f"sigma {sigma} is too small: below pi/sqrt\\(float max\\)"):
+                CutSystem.from_hypergraph(graph, 3, sigma=sigma)
+        # a tiny sigma whose square stays normal gives finite values on the lattice
+        system = CutSystem.from_hypergraph(graph, 3, sigma=1e-150)
+        phi = label_state([0, 1, 2], 3)
+        assert np.isfinite(system.energy(phi)) and np.all(np.isfinite(system.drift(phi)))
+        # so does the smallest accepted sigma, also at K = 2, whose largest exponent,
+        # pi**2 / (2*sigma**2) at d = 0, is the largest of any K
+        for k in (2, 3, 4):
+            system = CutSystem.from_hypergraph(graph, k, sigma=SIGMA_MIN)
+            for phi in (label_state([0, 1, k - 1], k), np.random.default_rng(k).uniform(-4, 4, (5, 3))):
+                assert np.isfinite(system.energy(phi)).all() and np.isfinite(system.drift(phi)).all()
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])

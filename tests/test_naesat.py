@@ -282,10 +282,12 @@ def test_repeated_and_cancelling_clauses_lattice_energy_exhaustive():
 
 @pytest.mark.parametrize("batch", [(20,), (2, 4)])
 def test_repeated_and_cancelling_clauses_index_form_is_batch_invariant(batch):
-    inst = with_repeated_and_cancelling_clauses(generate_planted_nae(300, 750, 4, seed=120)[0])
-    system = NaeSystem.from_instance(inst)
-    assert system._pattern is None
-    assert_batch_invariant(system, np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, 300)))
+    # K = 6 has orders 4 and 6: psi stacks two gather blocks along its term rows
+    for k, n, m in [(4, 300, 750), (6, 300, 100)]:
+        inst = with_repeated_and_cancelling_clauses(generate_planted_nae(n, m, k, seed=120)[0])
+        system = NaeSystem.from_instance(inst)
+        assert system._pattern is None and len(system._gather) == k // 2 - 1
+        assert_batch_invariant(system, np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, n)))
 
 
 def test_index_form_drift_is_negative_gradient_and_lattice_energy_exact():
