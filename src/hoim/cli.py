@@ -6,7 +6,8 @@ result plus a CSV trace), ``generate`` (write instance files),
 energy-descent and gradient checks).
 
 Exit codes: 0 success, 1 internal numerical failure or audit tolerance
-breach, 2 invalid input or flags, or an instance too large to allocate.
+breach, 2 invalid input or flags (constants whose energy bound overflows
+float included), or an instance too large to allocate.
 """
 
 from __future__ import annotations
@@ -51,28 +52,23 @@ def _load_problem(args):
     instance = _load_instance(args)
     if args.problem == "nae-sat":
         system = NaeSystem.from_instance(instance, coupling=args.coupling, harmonic=args.harmonic)
-        echo = {
-            "problem": "nae-sat",
-            "input": args.input,
-            "instance": {"num_vars": instance.num_vars, "num_clauses": instance.num_clauses,
-                         "k": instance.k},
-            "coupling": system.coupling,
-            "harmonic": system.harmonic,
-            "constants_tabulated": naesat.default_constants(instance.k)[2],
-        }
-        return instance, system, echo
-    system = CutSystem.from_hypergraph(instance, args.k, coupling=args.coupling,
-                                       harmonic=args.harmonic, sigma=args.sigma)
+        sizes = {"num_vars": instance.num_vars, "num_clauses": instance.num_clauses, "k": instance.k}
+        k, sigma, tabulated = {}, {}, naesat.default_constants(instance.k)[2]
+    else:
+        system = CutSystem.from_hypergraph(instance, args.k, coupling=args.coupling,
+                                           harmonic=args.harmonic, sigma=args.sigma)
+        sizes = {"num_nodes": instance.num_nodes, "num_edges": instance.num_edges,
+                 "max_edge_size": instance.max_edge_size}
+        k, sigma, tabulated = {"k": args.k}, {"sigma": system.sigma}, hypercut.default_constants(args.k)[2]
     echo = {
-        "problem": "hyper-maxcut",
+        "problem": args.problem,
         "input": args.input,
-        "instance": {"num_nodes": instance.num_nodes, "num_edges": instance.num_edges,
-                     "max_edge_size": instance.max_edge_size},
-        "k": args.k,
+        "instance": sizes,
+        **k,
         "coupling": system.coupling,
         "harmonic": system.harmonic,
-        "constants_tabulated": hypercut.default_constants(args.k)[2],
-        "sigma": system.sigma,
+        "constants_tabulated": tabulated,
+        **sigma,
     }
     return instance, system, echo
 

@@ -116,6 +116,11 @@ class CutSystem:
         a, b = np.nonzero(positions[:, None] < positions)
         second = nodes[:, b]
         pair_keys = np.where(second == nodes[:, :1], 0, nodes[:, a] * n + second)
+        # every energy and drift magnitude stays below this bound; pair_keys holds the M*W slots
+        energy_bound = float(self.coupling) * pair_keys.size + float(self.harmonic) * n
+        if not np.isfinite(energy_bound):
+            raise ValueError(f"coupling {self.coupling} and harmonic strength {self.harmonic} are too large: "
+                             "the energy bound A*M*W + A_s*N overflows float")
         pairs, slots = np.unique(np.concatenate([[0], pair_keys.ravel()]), return_inverse=True)
         pair_i, pair_j = np.divmod(pairs, n)
         slots = slots[1:].reshape(pair_keys.shape)

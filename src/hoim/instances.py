@@ -161,7 +161,8 @@ def _tokenize(text: str, expect_format: str):
     return header, tokens
 
 
-def _split_on_zero(tokens: list[int], what: str) -> list[tuple[int, ...]]:
+def _split_on_zero(tokens: list[int], what: str, promised: int) -> list[tuple[int, ...]]:
+    """The ``0``-terminated groups of ``tokens``, exactly the header's ``promised`` many."""
     groups: list[tuple[int, ...]] = []
     current: list[int] = []
     for t in tokens:
@@ -174,6 +175,8 @@ def _split_on_zero(tokens: list[int], what: str) -> list[tuple[int, ...]]:
             current.append(t)
     if current:
         raise InstanceError(f"unterminated {what} at end of input")
+    if len(groups) != promised:
+        raise InstanceError(f"header promises {promised} {what}s, found {len(groups)}")
     return groups
 
 
@@ -185,10 +188,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     non-uniform clause widths.
     """
     (num_vars, num_clauses), tokens = _tokenize(text, "cnf")
-    clauses = _split_on_zero(tokens, "clause")
-    if len(clauses) != num_clauses:
-        raise InstanceError(f"header promises {num_clauses} clauses, found {len(clauses)}")
-    return CnfInstance(num_vars=num_vars, clauses=tuple(clauses))
+    return CnfInstance(num_vars=num_vars, clauses=tuple(_split_on_zero(tokens, "clause", num_clauses)))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -196,34 +196,27 @@ def parse_hypergraph(text: str) -> Hypergraph:
     (num_nodes, num_edges), tokens = _tokenize(text, "hyp")
     if any(t < 0 for t in tokens):
         raise InstanceError("hyperedge lines must contain positive node indices")
-    edges = _split_on_zero(tokens, "hyperedge")
-    if len(edges) != num_edges:
-        raise InstanceError(f"header promises {num_edges} hyperedges, found {len(edges)}")
-    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(edges))
+    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(_split_on_zero(tokens, "hyperedge", num_edges)))
 
 
-def _comment_lines(comments: list[str] | None) -> list[str]:
-    """One ``c`` line per line of each comment, so no comment text can leave
-    its comment line (``_tokenize`` splits with the same ``str.splitlines``)."""
-    return [f"c {piece}" for c in comments or [] for piece in c.splitlines()]
+def _format(header: str, groups: tuple[tuple[int, ...], ...], comments: list[str] | None) -> str:
+    """Instance text: one ``c`` line per line of each comment, so no comment
+    text can leave its comment line (``_tokenize`` splits with the same
+    ``str.splitlines``), then the header, then each group ended by ``0``."""
+    lines = [f"c {piece}" for c in comments or [] for piece in c.splitlines()]
+    lines.append(header)
+    lines.extend(" ".join(map(str, group)) + " 0" for group in groups)
+    return "\n".join(lines) + "\n"
 
 
 def format_dimacs(instance: CnfInstance, comments: list[str] | None = None) -> str:
     """Serialize to DIMACS CNF; ``parse_dimacs`` round-trips the result."""
-    lines = _comment_lines(comments)
-    lines.append(f"p cnf {instance.num_vars} {instance.num_clauses}")
-    for clause in instance.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    return _format(f"p cnf {instance.num_vars} {instance.num_clauses}", instance.clauses, comments)
 
 
 def format_hypergraph(graph: Hypergraph, comments: list[str] | None = None) -> str:
     """Serialize to ``p hyp`` text; ``parse_hypergraph`` round-trips the result."""
-    lines = _comment_lines(comments)
-    lines.append(f"p hyp {graph.num_nodes} {graph.num_edges}")
-    for edge in graph.hyperedges:
-        lines.append(" ".join(str(n) for n in edge) + " 0")
-    return "\n".join(lines) + "\n"
+    return _format(f"p hyp {graph.num_nodes} {graph.num_edges}", graph.hyperedges, comments)
 
 
 def generate_planted_nae(n: int, m: int, k: int, seed: int):

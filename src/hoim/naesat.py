@@ -95,6 +95,11 @@ class NaeSystem:
             raise ValueError("harmonic strength must be non-negative and finite")
         check_clause_width(self.instance.k)
         n, k = self.instance.num_vars, self.instance.k
+        # every energy and drift magnitude stays below this bound
+        energy_bound = float(self.coupling) * self.instance.num_clauses * 2 ** (k - 1) + float(self.harmonic) * n
+        if not np.isfinite(energy_bound):
+            raise ValueError(f"coupling {self.coupling} and harmonic strength {self.harmonic} are too large: "
+                             "the energy bound C*M*2^(K-1) + C_s*N overflows float")
         variables, signs = self.instance.clause_arrays
         # every even-size subset of clause positions is a term weighted by the
         # product of its signs, kept per clause in clause order; clause_arrays

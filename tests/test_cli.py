@@ -278,6 +278,59 @@ def test_instance_too_large_to_allocate_exits_2(nae_file, hyp_file, command, pro
 
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("problem, flag, value", [
+    ("nae-sat", "--harmonic", "5e307"),
+    ("nae-sat", "--harmonic", "1e308"),
+    ("nae-sat", "--coupling", "1e307"),
+    ("hyper-maxcut", "--coupling", "1e308"),
+    ("hyper-maxcut", "--harmonic", "1e308"),
+])
+def test_constants_whose_energy_bound_overflows_exit_2(nae_file, hyp_file, command, problem, flag, value,
+                                                       capsys):
+    # C*M*2^(K-1) + C_s*N (NAE, 12/25 K=4) or A*M*W + A_s*N (cut, 8/14 with W=6 slots
+    # per edge) past float max: exit 2 at build, before any step, and without a warning
+    args = ["--input", str(nae_file)] if problem == "nae-sat" else ["--input", str(hyp_file), "--k", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--problem", problem, *args, flag, value, "--steps", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling ") and "too large" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("problem, flag, scale", [
+    ("nae-sat", "--harmonic", 12),
+    ("nae-sat", "--coupling", 25 * 8),
+    ("hyper-maxcut", "--harmonic", 8),
+    ("hyper-maxcut", "--coupling", 14 * 6),
+])
+def test_constants_just_inside_the_energy_bound_run(nae_file, hyp_file, command, problem, flag, scale,
+                                                    capsys):
+    # the constant times its count (N, M*2^(K-1) or M*W) is 0.99 of float max
+    args = ["--input", str(nae_file)] if problem == "nae-sat" else ["--input", str(hyp_file), "--k", "3"]
+    value = repr(0.99 * float(np.finfo(float).max) / scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--problem", problem, *args, flag, value, "--steps", "10", "--seed", "1"])
+    out, err = capsys.readouterr()
+    # such constants make the default dt unstable, so the audit may fail (exit 1), but it runs
+    assert err == "" and code in ((0,) if command == "solve" else (0, 1))
+    assert out.splitlines()[-1].startswith("best metric" if command == "solve" else "audit ")
+
+
+@pytest.mark.parametrize("command, target", [("solve", "run"), ("audit", "lyapunov_audit")])
+@pytest.mark.parametrize("error", [RuntimeError, FloatingPointError])
+def test_internal_numerical_failure_exits_1(nae_file, command, target, error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("non-finite drift in restart 0 at step 1")
+
+    monkeypatch.setattr(f"hoim.cli.{target}", fail)
+    assert main([command, "--problem", "nae-sat", "--input", str(nae_file), "--steps", "10"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["internal error: non-finite drift in restart 0 at step 1"]
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
 def test_header_past_numpy_integers_exits_2(tmp_path, command, capsys):
     # N*N overflows the NAE pair table's length before anything is allocated
     path = tmp_path / "huge.cnf"

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from itertools import count
 
 import numpy as np
 import pytest
@@ -140,6 +141,41 @@ def test_trajectory_names_the_first_restart_with_a_nonfinite_drift():
     cfg = SolverConfig(dt=1e-3, steps=5, noise_amplitude=0.0)
     with pytest.raises(RuntimeError, match="non-finite drift in restart 2 at step 1"):
         list(engine._trajectory(_NanDriftInRestart2(), cfg, gens))
+
+
+@dataclass(frozen=True)
+class _NanEnergyInRestart2(NaeSystem):
+    """Restart 2's energy is NaN from the ``nan_from``-th call on, which is
+    step ``nan_from`` when every step is recorded."""
+
+    nan_from: int = 0
+    calls: count = field(default_factory=count, compare=False)
+
+    def energy(self, phases):
+        out = super().energy(phases).copy()
+        if next(self.calls) >= self.nan_from:
+            out[2] = np.nan
+        return out
+
+
+def test_run_raises_on_nonfinite_energy():
+    inst, system = nae_setup()
+    nan = _NanEnergyInRestart2(inst, system.coupling, system.harmonic, nan_from=5)
+    cfg = SolverConfig(dt=1e-3, steps=10, restarts=4, seed=1, record_every=1)
+    with pytest.raises(RuntimeError, match="non-finite energy in restart 2 at step 5"):
+        run(nan, cfg, inst)
+
+
+def test_run_ignores_nonfinite_energy_of_a_stopped_restart():
+    # restart 2 reaches the target at step 103 while restarts 1 and 3 record to the end
+    inst, system = nae_setup()
+    cfg = SolverConfig(dt=1e-3, steps=300, restarts=4, seed=1, record_every=1, target=20)
+    plain = run(system, cfg, inst)
+    stop = plain.restarts[2].steps_run
+    assert stop < max(summary.steps_run for summary in plain.restarts)
+    nan = _NanEnergyInRestart2(inst, system.coupling, system.harmonic, nan_from=stop + 1)
+    result = run(nan, cfg, inst)
+    assert result.trace == plain.trace and result.restarts == plain.restarts
 
 
 def test_run_single_step_trace():
