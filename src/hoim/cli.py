@@ -6,8 +6,8 @@ result plus a CSV trace), ``generate`` (write instance files),
 energy-descent and gradient checks).
 
 Exit codes: 0 success, 1 internal numerical failure or audit tolerance
-breach, 2 invalid input or flags (constants whose energy bound overflows
-float included), or an instance too large to allocate.
+breach, 2 invalid input or flags (constants out of range or whose energy
+bound overflows float included), or an instance too large to allocate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .naesat import NaeSystem
 
 DESCENT_TOLERANCE = 1e-6
 GRADIENT_TOLERANCE = {"nae-sat": 1e-5, "hyper-maxcut": 1e-4}
-DEFAULT_DT = {"nae-sat": 1e-3, "hyper-maxcut": 1e-2}
+DEFAULT_DT = {"nae-sat": SolverConfig.dt, "hyper-maxcut": 1e-2}
 
 
 def _load_instance(args):
@@ -189,7 +189,7 @@ def cmd_audit(args) -> int:
     print(f"steps {report.steps}; dt {config.dt}")
     print(f"max per-step energy increase {report.max_step_increase:.3e}"
           f" (frozen energy {report.max_step_increase_clear:.3e})")
-    print(f"total energy change {report.delta_energy:.6f}")
+    print(f"total energy change {report.delta_energy:.3e}")
     print(f"gradient check max relative error {worst_gradient:.3e}")
     # Gate on the frozen energy: the raw cut energy can also rise through the
     # bump slope that the drift drops.
@@ -214,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--harmonic", type=float, help="harmonic pinning strength C_s or A_s")
         p.add_argument("--sigma", type=float, help="penalty bump width (hyper-maxcut)")
         p.add_argument("--dt", type=float, help="time step (default per problem)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=SolverConfig.seed)
         if with_solver:
-            p.add_argument("--steps", type=int, default=20_000)
-            p.add_argument("--noise", type=float, default=3.0, help="noise amplitude (radians)")
-            p.add_argument("--schedule", choices=["constant", "decay"], default="decay")
-            p.add_argument("--restarts", type=int, default=20)
-            p.add_argument("--record-every", dest="record_every", type=int, default=100)
+            p.add_argument("--steps", type=int, default=SolverConfig.steps)
+            p.add_argument("--noise", type=float, default=SolverConfig.noise_amplitude, help="noise amplitude (radians)")
+            p.add_argument("--schedule", choices=["constant", "decay"], default=SolverConfig.noise_schedule)
+            p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+            p.add_argument("--record-every", dest="record_every", type=int, default=SolverConfig.record_every)
             p.add_argument("--target", type=int, help="stop a restart when the metric reaches this")
 
     p_solve = sub.add_parser("solve", help="run the phase-dynamics solver")

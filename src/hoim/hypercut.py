@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Hypergraph
-from .naesat import _index_scatter, _scatter_add
+from .naesat import _check_constants, _index_scatter, _scatter_add
 
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
@@ -98,10 +98,6 @@ class CutSystem:
     def __post_init__(self):
         if self.k_partitions < 2:
             raise ValueError("need at least 2 partitions")
-        if not (np.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError("coupling must be positive and finite")
-        if not (np.isfinite(self.harmonic) and self.harmonic >= 0):
-            raise ValueError("harmonic strength must be non-negative and finite")
         bound = 2.0 * np.pi / (8.0 * self.k_partitions)
         if not 0 < self.sigma < bound:
             raise ValueError(f"sigma must be positive and below 2*pi/(8K) = {bound:.6g} "
@@ -116,11 +112,7 @@ class CutSystem:
         a, b = np.nonzero(positions[:, None] < positions)
         second = nodes[:, b]
         pair_keys = np.where(second == nodes[:, :1], 0, nodes[:, a] * n + second)
-        # every energy and drift magnitude stays below this bound; pair_keys holds the M*W slots
-        energy_bound = float(self.coupling) * pair_keys.size + float(self.harmonic) * n
-        if not np.isfinite(energy_bound):
-            raise ValueError(f"coupling {self.coupling} and harmonic strength {self.harmonic} are too large: "
-                             "the energy bound A*M*W + A_s*N overflows float")
+        _check_constants(self, pair_keys.size, "A*M*W + A_s*N")  # pair_keys holds the M*W slots
         pairs, slots = np.unique(np.concatenate([[0], pair_keys.ravel()]), return_inverse=True)
         pair_i, pair_j = np.divmod(pairs, n)
         slots = slots[1:].reshape(pair_keys.shape)

@@ -89,17 +89,9 @@ class NaeSystem:
     harmonic: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError("coupling must be positive and finite")
-        if not (np.isfinite(self.harmonic) and self.harmonic >= 0):
-            raise ValueError("harmonic strength must be non-negative and finite")
         check_clause_width(self.instance.k)
         n, k = self.instance.num_vars, self.instance.k
-        # every energy and drift magnitude stays below this bound
-        energy_bound = float(self.coupling) * self.instance.num_clauses * 2 ** (k - 1) + float(self.harmonic) * n
-        if not np.isfinite(energy_bound):
-            raise ValueError(f"coupling {self.coupling} and harmonic strength {self.harmonic} are too large: "
-                             "the energy bound C*M*2^(K-1) + C_s*N overflows float")
+        _check_constants(self, self.instance.num_clauses * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
         variables, signs = self.instance.clause_arrays
         # every even-size subset of clause positions is a term weighted by the
         # product of its signs, kept per clause in clause order; clause_arrays
@@ -194,6 +186,21 @@ class NaeSystem:
         if self._pattern is not None:
             return (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
         return _scatter_add((np.sin(self._psi(phi)).T * self._weights).T, self._scatter, self._segments).T
+
+
+def _check_constants(system, terms: int, bound: str) -> None:
+    """Refuse a coupling that is not positive and finite, a harmonic strength
+    that is negative or not finite, and constants whose energy bound
+    ``coupling * terms + harmonic * num_spins`` overflows float: every energy
+    and drift magnitude stays below it.  ``bound`` is the formula's text for
+    the message."""
+    if not (np.isfinite(system.coupling) and system.coupling > 0):
+        raise ValueError("coupling must be positive and finite")
+    if not (np.isfinite(system.harmonic) and system.harmonic >= 0):
+        raise ValueError("harmonic strength must be non-negative and finite")
+    if not np.isfinite(float(system.coupling) * terms + float(system.harmonic) * system.num_spins):
+        raise ValueError(f"coupling {system.coupling} and harmonic strength {system.harmonic} are too large: "
+                         f"the energy bound {bound} overflows float")
 
 
 def _index_scatter(keys, n: int):

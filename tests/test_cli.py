@@ -102,6 +102,13 @@ def test_solve_requires_k_for_hypergraph(hyp_file):
     assert excinfo.value.code == 2
 
 
+def test_solve_rejects_k_below_2(hyp_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--problem", "hyper-maxcut", "--k", "1", "--input", str(hyp_file)])
+    assert excinfo.value.code == 2
+    assert "--k must be at least 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--k", "3"), ("--sigma", "0.01")])
 @pytest.mark.parametrize("command", ["solve", "audit"])
 def test_nae_sat_rejects_cut_only_flags(nae_file, command, flag, value, capsys):
@@ -378,6 +385,19 @@ def test_audit_hypergraph_passes(hyp_file, capsys):
     assert main(["audit", "--problem", "hyper-maxcut", "--k", "3", "--input", str(hyp_file),
                  "--steps", "1000", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_audit_lines_stay_short_at_a_huge_energy_change(tmp_path, capsys):
+    # a harmonic strength just inside the energy bound of a 20/50 K = 4 file moves
+    # the energy by about 7e306, which a fixed-point figure prints digit by digit
+    path = tmp_path / "f.cnf"
+    assert main(["generate", "planted-nae", "--vars", "20", "--clauses", "50", "--k", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    main(["audit", "--problem", "nae-sat", "--input", str(path), "--harmonic", "8.8e306"])
+    out = capsys.readouterr().out
+    assert "\ntotal energy change 7.249e+306\n" in out  # in the other figures' :.3e form
+    assert all(len(line) < 80 for line in out.splitlines())
 
 
 def test_audit_huge_dt_fails(nae_file, capsys):

@@ -201,6 +201,16 @@ def test_run_rejects_mismatched_instance(system, instance):
         run(system, SolverConfig(steps=10, restarts=1), instance)
 
 
+def test_run_rejects_a_system_of_another_kind():
+    @dataclass(frozen=True)
+    class Holder:
+        instance: CnfInstance
+
+    inst = nae_setup()[0]
+    with pytest.raises(TypeError, match="unsupported system type Holder"):
+        run(Holder(inst), SolverConfig(steps=10, restarts=1), inst)
+
+
 def test_run_deterministic_and_trace_monotone():
     inst, system = nae_setup()
     cfg = SolverConfig(dt=1e-3, steps=500, restarts=4, seed=3, record_every=50)

@@ -590,6 +590,24 @@ def test_sigma_invariant_enforced():
         CutSystem(instance=graph, k_partitions=1, coupling=10.0, harmonic=10.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda **constants: NaeSystem(instance=CnfInstance(3, ((1, -2, 3),)), **constants),
+    lambda **constants: CutSystem(instance=Hypergraph(3, ((1, 2, 3),)), k_partitions=3, **constants),
+], ids=["nae", "cut"])
+@pytest.mark.parametrize("coupling, harmonic, match", [
+    (0.0, 5.0, "coupling must be positive and finite"),
+    (-1.0, 5.0, "coupling must be positive and finite"),
+    (np.nan, 5.0, "coupling must be positive and finite"),
+    (np.inf, 5.0, "coupling must be positive and finite"),
+    (10.0, -1.0, "harmonic strength must be non-negative and finite"),
+    (10.0, np.nan, "harmonic strength must be non-negative and finite"),
+    (10.0, np.inf, "harmonic strength must be non-negative and finite"),
+])
+def test_systems_reject_constants_that_are_out_of_range(build, coupling, harmonic, match):
+    with pytest.raises(ValueError, match=match):
+        build(coupling=coupling, harmonic=harmonic)
+
+
 def test_sigma_whose_square_underflows_is_rejected():
     # 2*sigma**2 == 0 at 1e-300 would make the bump exponent 0/0, NaN at every
     # labelled state; at 1e-160 it is subnormal and (size - centre)**2 / (2*sigma**2)
@@ -616,6 +634,11 @@ def test_sigma_whose_square_underflows_is_rejected():
 def test_phase_penalty_rejects_a_sigma_that_is_not_positive(sigma):
     with pytest.raises(ValueError, match="sigma must be positive"):
         phase_penalty(np.array([0.0, 2 * np.pi / 3]), 3, sigma)
+
+
+def test_phase_penalty_rejects_fewer_than_2_partitions():
+    with pytest.raises(ValueError, match="need at least 2 partitions"):
+        phase_penalty(np.array([0.0, np.pi]), 1, SIGMA)
 
 
 def test_frozen_penalties_of_one_state_broadcast_over_a_batch():

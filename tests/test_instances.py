@@ -44,6 +44,12 @@ def test_parse_dimacs_satlib_trailer():
     ("p wrong 2 1\n1 2 0\n", "header"),
     ("1 2 0\n", "header"),
     ("p cnf 2 1\n1 2\n", "unterminated"),
+    ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "line 2: duplicate header"),
+    ("p cnf x 1\n1 2 0\n", "non-integer header fields"),
+    ("c only\nc comments\n", "missing 'p cnf' header"),
+    ("p cnf 2 1\n1 2 0 0\n", r"empty clause \(stray 0 terminator\)"),
+    ("p cnf 3 0\n", "instance has no clauses"),
+    ("p cnf 0 1\n1 2 0\n", "num_vars must be positive"),
 ])
 def test_parse_dimacs_errors(text, match):
     with pytest.raises(InstanceError, match=match):
@@ -61,6 +67,8 @@ def test_parse_hypergraph_basic():
     ("p hyp 2 1\n1 2 3 0\n", "out of range"),
     ("p hyp 3 1\n1 1 2 0\n", "repeats"),
     ("p hyp 3 1\n1 -2 3 0\n", "positive"),
+    ("p hyp 3 0\n", "hypergraph has no hyperedges"),
+    ("p hyp 0 1\n1 2 0\n", "num_nodes must be positive"),
 ])
 def test_parse_hypergraph_errors(text, match):
     with pytest.raises(InstanceError, match=match):
@@ -192,6 +200,12 @@ def test_generator_preconditions():
         generate_planted_nae(3, 5, 4, seed=0)  # n < k
     with pytest.raises(InstanceError):
         generate_random_hypergraph(4, 3, 2, 5, seed=0)  # max_size > n
+    with pytest.raises(InstanceError, match="k must be >= 2"):
+        generate_planted_nae(3, 5, 1, seed=0)
+    with pytest.raises(InstanceError, match="need m >= 1"):
+        generate_planted_nae(5, 0, 3, seed=0)
+    with pytest.raises(InstanceError, match="need m >= 1"):
+        generate_random_hypergraph(5, 0, 2, 3, seed=0)
 
 
 def test_instance_invariants():

@@ -86,6 +86,11 @@ def test_truth_table_k5_sixteen_terms():
     assert {len(vs) for vs, _ in poly.terms} == {2, 4}
 
 
+def test_truth_table_rejects_more_than_8_literals():
+    with pytest.raises(ValueError, match="up to 8 literals"):
+        truth_table_expand(list(range(1, 10)))
+
+
 def test_objective_equals_unsat_count_exhaustive_small():
     rng = np.random.default_rng(6)
     for k in (2, 3, 4):

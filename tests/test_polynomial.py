@@ -199,3 +199,5 @@ def test_polynomial_canonicalization():
         InteractionPolynomial(terms=(((2, 1), Fraction(1)),))
     with pytest.raises(ValueError):
         InteractionPolynomial(terms=(((1, 2), Fraction(1)), ((1, 2), Fraction(2))))
+    with pytest.raises(ValueError, match="1-based"):
+        InteractionPolynomial(terms=(((0, 1), Fraction(1)),))
