@@ -133,7 +133,7 @@ def cmd_solve(args) -> int:
                 handle.write(f"{rec.restart},{rec.step},{rec.energy!r},{rec.metric}\n")
     print(f"best metric {result.best_metric}/{metric_cap} "
           f"(restart {result.best_restart}, step {result.best_step}); "
-          f"final energy {result.final_energy:.6f}")
+          f"final energy {result.final_energy:.7g}")
     return 0
 
 

@@ -57,16 +57,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.target is not None and self.target < 1:
-            raise ValueError("target must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        for name, least in (("steps", 1), ("restarts", 1), ("seed", 0), ("target", 1), ("record_every", 1)):
+            value = getattr(self, name)
+            if name == "target" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            if value < least:
+                raise ValueError(f"{name} must be " + (">= 1" if least else "non-negative"))
+            object.__setattr__(self, name, int(value))  # a numpy integer would wrap in seed + r
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ValueError("noise_amplitude must be non-negative and finite")
         if self.noise_schedule not in ("constant", "decay"):
@@ -170,8 +169,9 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
     gens = [np.random.default_rng(config.seed + r) for r in range(n_restarts)]
 
     active = np.ones(n_restarts, dtype=bool)  # restarts still recorded
-    traces: list[list[TraceRecord]] = [[] for _ in range(n_restarts)]
-    best = [(-1, 0, None)] * n_restarts  # (metric, first step at it, assignment)
+    best_metric, best_step = np.full(n_restarts, -1), np.zeros(n_restarts, dtype=int)
+    best_assignment = 0  # step 0 records every restart, so its snap replaces this
+    records = []  # (step, recorded mask, energies, metrics) per record step
 
     for s, phi in enumerate(_trajectory(system, config, gens)):
         if s % config.record_every and s < config.steps:
@@ -182,36 +182,31 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
             raise RuntimeError(f"non-finite energy in restart {int(np.flatnonzero(bad)[0])} at step {s}")
         snapped = snap(phi)
         metrics = metric_fn(snapped)
-        for r in np.flatnonzero(active):
-            traces[r].append(TraceRecord(restart=int(r), step=s,
-                                         energy=float(energies[r]), metric=int(metrics[r])))
-            if metrics[r] > best[r][0]:
-                best[r] = (int(metrics[r]), s, np.array(snapped[r]))
+        better = active & (metrics > best_metric)
+        best_metric = np.where(better, metrics, best_metric)
+        best_step = np.where(better, s, best_step)
+        best_assignment = np.where(better[:, None], snapped, best_assignment)
+        records.append((s, active, energies, metrics))
         if config.target is not None:
-            active &= metrics < config.target
+            active = active & (metrics < config.target)
             if not active.any():
                 break
 
-    summaries = []
-    for r in range(n_restarts):
-        last = traces[r][-1]
-        summaries.append(RestartSummary(
-            restart=r, seed=config.seed + r, steps_run=last.step,
-            stopped_early=last.step < config.steps, best_metric=best[r][0],
-            best_step=best[r][1], final_metric=last.metric, final_energy=last.energy,
-        ))
-    winner = max(range(n_restarts), key=lambda r: best[r][0])  # ties: lowest restart
-    metric, step, assignment = best[winner]
-    return SolveResult(
-        best_metric=metric,
-        best_assignment=assignment,
-        best_restart=winner,
-        best_step=step,
-        final_energy=summaries[winner].final_energy,
-        trace=tuple(rec for r in range(n_restarts) for rec in traces[r]),
-        restarts=tuple(summaries),
-        config=config,
-    )
+    steps, *columns = zip(*records)
+    recorded, energies, metrics = map(np.array, columns)  # (records, restarts)
+    summaries = tuple(RestartSummary(
+        restart=r, seed=config.seed + r, steps_run=steps[t], stopped_early=steps[t] < config.steps,
+        best_metric=int(best_metric[r]), best_step=int(best_step[r]),
+        final_metric=int(metrics[t, r]), final_energy=float(energies[t, r]),
+    ) for r, t in enumerate(recorded.sum(axis=0) - 1))  # t: the last record (a mask only turns off)
+    restart, row = np.nonzero(recorded.T)  # restart-major
+    trace = tuple(map(TraceRecord, restart.tolist(), [steps[i] for i in row.tolist()],
+                      energies[row, restart].tolist(), metrics[row, restart].tolist()))
+    winner = int(np.argmax(best_metric))  # ties: lowest restart
+    best = summaries[winner]
+    return SolveResult(best_metric=best.best_metric, best_assignment=best_assignment[winner].copy(),
+                       best_restart=winner, best_step=best.best_step, final_energy=best.final_energy,
+                       trace=trace, restarts=summaries, config=config)
 
 
 @dataclass(frozen=True)

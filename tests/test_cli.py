@@ -400,6 +400,21 @@ def test_audit_lines_stay_short_at_a_huge_energy_change(tmp_path, capsys):
     assert all(len(line) < 80 for line in out.splitlines())
 
 
+def test_solve_lines_stay_short_at_a_huge_energy(tmp_path, capsys):
+    # the same harmonic strength leaves a final energy near 1e307, whose fixed-point
+    # figure would print every integer digit
+    path, out_path = tmp_path / "f.cnf", tmp_path / "r.json"
+    assert main(["generate", "planted-nae", "--vars", "20", "--clauses", "50", "--k", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--problem", "nae-sat", "--input", str(path), "--harmonic", "8.8e306",
+                 "--steps", "10", "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert all(len(line) < 80 for line in out.splitlines())
+    printed = float(out.split("final energy ")[1])
+    assert printed == pytest.approx(json.loads(out_path.read_text())["final_energy"], rel=1e-6)
+
+
 def test_audit_huge_dt_fails(nae_file, capsys):
     assert main(["audit", "--problem", "nae-sat", "--input", str(nae_file),
                  "--steps", "200", "--dt", "1.0", "--seed", "0"]) == 1

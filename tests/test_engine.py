@@ -39,6 +39,19 @@ def test_config_validation():
     assert SolverConfig(target=1).target == 1
     with pytest.raises(ValueError):
         SolverConfig(noise_schedule="warp")
+    for name in ("steps", "restarts", "seed", "record_every", "target"):
+        for bad in (1.5, 2.0, np.float64(3.0), True, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{name: bad})
+    for name in ("steps", "restarts", "seed", "record_every"):  # only target may be None
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: None})
+    for good in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        cfg = SolverConfig(steps=good, restarts=good, seed=good, record_every=good, target=good)
+        fields = (cfg.steps, cfg.restarts, cfg.seed, cfg.record_every, cfg.target)
+        assert fields == (3,) * 5 and all(type(value) is int for value in fields)
+    # stored as Python ints, so restart seeds past a numpy type's range do not wrap
+    assert SolverConfig(seed=np.uint8(255)).seed + 1 == 256
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt"):
             SolverConfig(dt=bad)
@@ -281,6 +294,32 @@ def test_target_stops_recording_only(setup, dt, steps, target):
                     if rec.restart == summary.restart and rec.step <= summary.steps_run]
         assert [rec for rec in stopped.trace if rec.restart == summary.restart] == expected
         assert summary.stopped_early == (summary.steps_run < cfg.steps)
+
+
+@pytest.mark.parametrize("setup, dt, steps, target", [
+    (nae_setup, 1e-3, 300, None),
+    (nae_setup, 1e-3, 300, 20),
+    (cut_setup, 1e-2, 40, None),
+    (cut_setup, 1e-2, 40, 12),
+], ids=["nae", "nae-target", "cut", "cut-target"])
+def test_best_assignment_is_the_snap_at_best_step(setup, dt, steps, target):
+    # replay the batch with the run's generators: the winner's assignment is its
+    # row of the snapped state at best_step, bit for bit, and every restart's row
+    # at its own best step scores its best metric
+    instance, system = setup()
+    cfg = SolverConfig(dt=dt, steps=steps, restarts=6, seed=2, record_every=7, target=target)
+    result = run(system, cfg, instance)
+    if target is not None:
+        reached = [summary.best_metric >= target for summary in result.restarts]
+        assert any(reached) and not all(reached)
+    snap, score = engine._dispatch(system, instance)
+    gens = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
+    snapped = [snap(phi) for phi in engine._trajectory(system, cfg, gens)]
+    expected = snapped[result.best_step][result.best_restart]
+    assert result.best_assignment.dtype == expected.dtype
+    assert result.best_assignment.tobytes() == expected.tobytes()
+    for summary in result.restarts:
+        assert score(snapped[summary.best_step])[summary.restart] == summary.best_metric
 
 
 def test_run_cut_system_against_oracle():
