@@ -19,12 +19,16 @@ restart's recording, and the loop ends early once every restart has stopped.
 system supplies ``instance``, the CNF or hypergraph it was built from (``run``
 accepts that instance only), ``num_spins``, ``energy``, ``drift`` and
 ``frozen_energy``, the function whose exact negative gradient ``drift`` is at
-a given state; the audit holds every step to it.
+a given state; the audit holds every step to it.  ``drift(phases,
+energy=True)`` returns (drift, energy) from one pass, so a recorded step's
+energy comes from that step's drift evaluation, bit for bit the value of
+``energy``; only the final state, which needs no drift, calls ``energy``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +59,15 @@ class SolverConfig:
     target: int | None = None
 
     def __post_init__(self):
+        for name in ("dt", "noise_amplitude"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
+            try:
+                value = float(value)  # a Fraction would make the phases an object array
+            except OverflowError:  # an integer past float range
+                value = math.inf
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         for name, least in (("steps", 1), ("restarts", 1), ("seed", 0), ("target", 1), ("record_every", 1)):
@@ -138,26 +151,32 @@ def _noise_rows(gens, n):
         yield from np.stack([g.standard_normal((_NOISE_CHUNK, n)) for g in gens], axis=1)
 
 
-def _trajectory(system, config: SolverConfig, gens):
-    """Yield the (restarts, num_spins) phases: the initial draw, then the state
-    after each of ``config.steps`` Euler-Maruyama steps of the whole batch.
-    Restart r draws from ``gens[r]``."""
+def _trajectory(system, config: SolverConfig, gens, record_every: int):
+    """Yield (phases, energies) for the (restarts, num_spins) phases: the
+    initial draw, then the state after each of ``config.steps`` Euler-Maruyama
+    steps of the whole batch.  Restart r draws from ``gens[r]``.  The drift at
+    phi_s is evaluated before phi_s is yielded; at every ``record_every``-th
+    step the same pass gives the energies, and the final state, which needs no
+    drift, gets its own ``energy`` call.  Other steps yield ``None``."""
     n = system.num_spins
     phi = np.stack([g.uniform(0.0, TWO_PI, n) for g in gens])
-    yield phi
     sqrt_dt = math.sqrt(config.dt)
     noise = _noise_rows(gens, n)
-    for s in range(1, config.steps + 1):
-        amp = config.noise_at(s - 1)
-        drift = system.drift(phi)
+    for s in range(config.steps):
+        if s % record_every:
+            drift, energies = system.drift(phi), None
+        else:
+            drift, energies = system.drift(phi, energy=True)
+        yield phi, energies
         if not np.isfinite(drift).all():
             bad = np.flatnonzero(~np.isfinite(drift).all(axis=-1))[0]
-            raise RuntimeError(f"non-finite drift in restart {int(bad)} at step {s}")
+            raise RuntimeError(f"non-finite drift in restart {int(bad)} at step {s + 1}")
         phi = phi + config.dt * drift
+        amp = config.noise_at(s)
         if amp > 0.0:
             phi = phi + amp * sqrt_dt * next(noise)
         phi = np.mod(phi, TWO_PI)
-        yield phi
+    yield phi, system.energy(phi)
 
 
 def run(system, config: SolverConfig, instance) -> SolveResult:
@@ -173,10 +192,9 @@ def run(system, config: SolverConfig, instance) -> SolveResult:
     best_assignment = 0  # step 0 records every restart, so its snap replaces this
     records = []  # (step, recorded mask, energies, metrics) per record step
 
-    for s, phi in enumerate(_trajectory(system, config, gens)):
-        if s % config.record_every and s < config.steps:
+    for s, (phi, energies) in enumerate(_trajectory(system, config, gens, config.record_every)):
+        if energies is None:
             continue
-        energies = system.energy(phi)
         bad = active & ~np.isfinite(energies)
         if bad.any():
             raise RuntimeError(f"non-finite energy in restart {int(np.flatnonzero(bad)[0])} at step {s}")
@@ -235,12 +253,12 @@ def lyapunov_audit(system, config: SolverConfig) -> AuditReport:
     if config.noise_amplitude != 0.0:
         raise ValueError("lyapunov audit requires noise_amplitude = 0")
     energies, frozen_rises = [], []
-    for phi in _trajectory(system, config, [np.random.default_rng(config.seed)]):
+    for phi, energy in _trajectory(system, config, [np.random.default_rng(config.seed)], 1):
         state = phi[0]
         if energies:
             # frozen_energy(x)(x) equals energy(x), so the previous energy is reused
             frozen_rises.append(float(frozen(state)) - energies[-1])
-        energies.append(float(system.energy(state)))
+        energies.append(float(energy[0]))
         frozen = system.frozen_energy(state)
     return AuditReport(
         steps=config.steps, initial_energy=energies[0], final_energy=energies[-1],

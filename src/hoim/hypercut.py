@@ -173,6 +173,18 @@ class CutSystem:
         Pass ``penalties`` (from :meth:`pair_penalties` at a reference
         state) to evaluate the energy with f frozen.
         """
+        return self._evaluate(phases, drift=False, energy=True, penalties=penalties)[1]
+
+    def drift(self, phases, energy: bool = False):
+        """dphi/dt with f treated as locally constant (leave-one-out form);
+        with ``energy``, the pair (drift, energy) from one pass over the
+        shared pair angles and slot factors."""
+        out = self._evaluate(phases, drift=True, energy=energy)
+        return out if energy else out[0]
+
+    def _evaluate(self, phases, drift: bool, energy: bool, penalties=None):
+        """(drift or None, energy or None) at ``phases``; ``penalties`` freeze
+        f for the energy and are not given with ``drift``."""
         phi = np.asarray(phases, dtype=float)
         if penalties is not None:
             # batch axes broadcast from the right of the (..., N) and (..., P+1) shapes
@@ -180,31 +192,31 @@ class CutSystem:
             lead = penalties.ndim - phi.ndim
             phi = phi.reshape((1,) * lead + phi.shape)
             penalties = penalties.reshape((1,) * -lead + penalties.shape).T
-        factors = 0.5 * (1.0 + np.cos(self._pair_angles(phi.T, penalties)))
-        edges = np.take(factors, self._slots, axis=0).prod(axis=0)
-        indicators = np.add.reduceat(edges, [0], axis=0)[0].T
-        pinning = np.add.reduceat(np.cos(self.k_partitions * phi), [0], axis=-1)[..., 0]
-        out = self.coupling * indicators - (self.harmonic / self.k_partitions) * pinning
-        return float(out) if out.ndim == 0 else out
-
-    def drift(self, phases) -> np.ndarray:
-        """dphi/dt with f treated as locally constant (leave-one-out form)."""
-        phi = np.asarray(phases, dtype=float)
-        angles = self._pair_angles(phi.T)
-        factors = np.take(0.5 * (1.0 + np.cos(angles)), self._slots, axis=0)
-        gain = np.take(0.5 * self.coupling * np.sin(angles), self._slots, axis=0)
-        # times the product of the edge's other pair factors: an exclusive prefix
-        # pass over the W slot rows, then a suffix pass, multiplying as cumprod does
-        w, m = self._slots.shape
-        for rows in (range(w), range(w - 1, -1, -1)):
-            run = factors[rows[0]]
-            for s in rows[1:]:
-                gain[s] *= run
-                if s != rows[-1]:
-                    run = run * factors[s]
-        # the gains in edge-major slot order, summed by node
-        coupled = _scatter_add(gain.swapaxes(0, 1).reshape(m * w, *gain.shape[2:]), self._scatter, self._segments)
-        return coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
+        angles = self._pair_angles(phi.T, penalties)
+        factors = np.take(0.5 * (1.0 + np.cos(angles)), self._slots, axis=0)  # (W, M, ...)
+        out_drift = out_energy = None
+        if energy:
+            indicators = np.add.reduceat(factors.prod(axis=0), [0], axis=0)[0].T
+            pinning = np.add.reduceat(np.cos(self.k_partitions * phi), [0], axis=-1)[..., 0]
+            out_energy = self.coupling * indicators - (self.harmonic / self.k_partitions) * pinning
+            if out_energy.ndim == 0:
+                out_energy = float(out_energy)
+        if drift:
+            gain = np.take(0.5 * self.coupling * np.sin(angles), self._slots, axis=0)
+            # times the product of the edge's other pair factors: an exclusive prefix
+            # pass over the W slot rows, then a suffix pass, multiplying as cumprod does
+            w, m = self._slots.shape
+            for rows in (range(w), range(w - 1, -1, -1)):
+                run = factors[rows[0]]
+                for s in rows[1:]:
+                    gain[s] *= run
+                    if s != rows[-1]:
+                        run = run * factors[s]
+            # the gains in edge-major slot order, summed by node
+            coupled = _scatter_add(gain.swapaxes(0, 1).reshape(m * w, *gain.shape[2:]),
+                                   self._scatter, self._segments)
+            out_drift = coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
+        return out_drift, out_energy
 
 
 def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:
@@ -212,9 +224,16 @@ def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:
 
     ``labels`` may carry leading batch dimensions; the graph holds its edges as
     an array, built once: ``graph.edge_nodes``."""
-    values = np.asarray(labels)[..., graph.edge_nodes]
-    cut = graph.num_edges - np.all(values == values[..., :1], axis=-1).sum(axis=-1)
-    return int(cut) if np.ndim(cut) == 0 else cut
+    labels = np.asarray(labels)
+    # each position's labels against position 0's, one (..., M) array at a time;
+    # a pad position repeats position 0's node, so it never differs
+    first, *rest = graph.edge_nodes.T
+    head = labels[..., first]
+    differs = np.zeros(head.shape, dtype=bool)
+    for nodes in rest:
+        differs |= labels[..., nodes] != head
+    cut = differs.sum(axis=-1)
+    return int(cut) if cut.ndim == 0 else cut
 
 
 def snap_to_labels(phases, k: int) -> np.ndarray:

@@ -147,23 +147,38 @@ class NaeSystem:
 
     def energy(self, phases: np.ndarray) -> float | np.ndarray:
         """Lyapunov energy; supports leading batch dimensions."""
-        phi = np.asarray(phases, dtype=float)
-        c, s = np.cos(phi), np.sin(phi)
-        pairs = 0.5 * (c * (c @ self._pairs) + s * (s @ self._pairs)).sum(axis=-1)
-        pinning = 0.5 * self.harmonic * (c * c - s * s).sum(axis=-1)  # cos 2phi
-        out = self.coupling * (pairs + self._higher_energy(phi) + self.instance.num_clauses) - pinning
-        return float(out) if out.ndim == 0 else out
+        return self._evaluate(phases, drift=False, energy=True)[1]
 
-    def drift(self, phases: np.ndarray) -> np.ndarray:
-        """dphi/dt = -dE/dphi, evaluated analytically."""
+    def drift(self, phases: np.ndarray, energy: bool = False):
+        """dphi/dt = -dE/dphi, evaluated analytically; with ``energy``, the
+        pair (drift, energy) from one pass over the shared cos, sin, J
+        products and psi."""
+        out = self._evaluate(phases, drift=True, energy=energy)
+        return out if energy else out[0]
+
+    def _evaluate(self, phases, drift: bool, energy: bool):
+        """(drift or None, energy or None) at ``phases``."""
         phi = np.asarray(phases, dtype=float)
         c, s = np.cos(phi), np.sin(phi)
-        coupled = s * (c @ self._pairs) - c * (s @ self._pairs) + self._higher_drift(phi)
-        return self.coupling * coupled - 2.0 * self.harmonic * s * c  # sin 2phi = 2 s c
+        cj, sj, psi = c @ self._pairs, s @ self._pairs, self._psi(phi)
+        out_drift = out_energy = None
+        if drift:
+            coupled = s * cj - c * sj + self._higher_drift(psi)
+            out_drift = self.coupling * coupled - 2.0 * self.harmonic * s * c  # sin 2phi = 2 s c
+        if energy:
+            pairs = 0.5 * (c * cj + s * sj).sum(axis=-1)
+            pinning = 0.5 * self.harmonic * (c * c - s * s).sum(axis=-1)  # cos 2phi
+            out_energy = self.coupling * (pairs + self._higher_energy(psi) + self.instance.num_clauses) - pinning
+            if out_energy.ndim == 0:
+                out_energy = float(out_energy)
+        return out_drift, out_energy
 
     def _psi(self, phi):
-        """The alternating phase sum of every order >= 4 term (index form),
-        added up position by position, node-major: (T, ...) from ``phi`` (..., N)."""
+        """The alternating phase sum of every order >= 4 term: phi @ pattern,
+        (..., T), in the dense form; in the index form added up position by
+        position, node-major: (T, ...) from ``phi`` (..., N)."""
+        if self._pattern is not None:
+            return phi @ self._pattern
         signed = np.concatenate([phi.T, -phi.T])
         parts = []
         for positions in self._gather:
@@ -173,19 +188,20 @@ class NaeSystem:
             parts.append(psi)
         return np.concatenate(parts)
 
-    def _higher_energy(self, phi):
-        """sum_t w_t cos(psi_t) over the orders >= 4."""
+    def _higher_energy(self, psi):
+        """sum_t w_t cos(psi_t) over the orders >= 4, from ``_psi``."""
         if self._pattern is not None:
-            return np.cos(phi @ self._pattern) @ self._weights
+            return np.cos(psi) @ self._weights
         # one reduceat segment sums each column on its own: .sum(0) would sum the
         # batch columns of the gather's layout in another order than a solo one
-        return np.add.reduceat((np.cos(self._psi(phi)).T * self._weights).T, [0], axis=0)[0].T
+        return np.add.reduceat((np.cos(psi).T * self._weights).T, [0], axis=0)[0].T
 
-    def _higher_drift(self, phi):
-        """The orders >= 4 part of the drift: +-w_t sin(psi_t) to each member of term t."""
+    def _higher_drift(self, psi):
+        """The orders >= 4 part of the drift, from ``_psi``: +-w_t sin(psi_t)
+        to each member of term t."""
         if self._pattern is not None:
-            return (np.sin(phi @ self._pattern) * self._weights) @ self._pattern.T
-        return _scatter_add((np.sin(self._psi(phi)).T * self._weights).T, self._scatter, self._segments).T
+            return (np.sin(psi) * self._weights) @ self._pattern.T
+        return _scatter_add((np.sin(psi).T * self._weights).T, self._scatter, self._segments).T
 
 
 def _check_constants(system, terms: int, bound: str) -> None:

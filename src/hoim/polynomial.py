@@ -146,9 +146,13 @@ def count_satisfied(instance: CnfInstance, spins) -> int | np.ndarray:
     equal (x_i = 1 corresponds to s_i = +1), read from ``instance.clause_arrays``.
     ``spins`` may carry leading batch dimensions; the count then has the batch shape."""
     variables, signs = instance.clause_arrays
-    values = signs * np.asarray(spins)[..., variables]  # (..., M, K)
-    all_equal = np.all(values == values[..., :1], axis=-1)
-    satisfied = instance.num_clauses - all_equal.sum(axis=-1)
+    spins = np.asarray(spins)
+    # each position's literal values against position 0's, one (..., M) array at a time
+    first = signs[:, 0] * spins[..., variables[:, 0]]
+    differs = np.zeros(first.shape, dtype=bool)
+    for position in range(1, instance.k):
+        differs |= signs[:, position] * spins[..., variables[:, position]] != first
+    satisfied = differs.sum(axis=-1)
     return int(satisfied) if satisfied.ndim == 0 else satisfied
 
 

@@ -1,4 +1,5 @@
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import count
 
 import numpy as np
@@ -60,6 +61,27 @@ def test_config_validation():
             SolverConfig(noise_amplitude=bad)
 
 
+def test_config_float_fields_reject_bools():
+    for name in ("dt", "noise_amplitude"):
+        for bad in (True, False, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                SolverConfig(**{name: bad})
+
+
+def test_config_float_fields_reject_non_numbers():
+    # a ValueError like every other bad setting, not math.isfinite's TypeError
+    for name in ("dt", "noise_amplitude"):
+        for bad in ("x", "0.1", None, 1j):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                SolverConfig(**{name: bad})
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SolverConfig(dt=10**400)
+    # stored as Python floats: a Fraction times the phases would be an object array
+    cfg = SolverConfig(dt=Fraction(1, 100), noise_amplitude=np.float32(0.5))
+    assert (cfg.dt, cfg.noise_amplitude) == (0.01, 0.5)
+    assert type(cfg.dt) is float and type(cfg.noise_amplitude) is float
+
+
 def test_decay_step_resolves_to_80_percent():
     cfg = SolverConfig(steps=1000, noise_schedule="decay")
     assert cfg.noise_at(0) == cfg.noise_amplitude
@@ -84,6 +106,21 @@ def test_run_noise_free_is_explicit_euler():
         phi = np.mod(phi + 1e-3 * system.drift(phi), 2 * np.pi)
 
 
+def replayed_phases(system, cfg):
+    """The run's batch after each step, from standalone ``drift`` calls and
+    each restart's own generator, starting with the initial draw."""
+    gens = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
+    phi = np.stack([g.uniform(0, 2 * np.pi, system.num_spins) for g in gens])
+    yield phi
+    for s in range(1, cfg.steps + 1):
+        amp = cfg.noise_at(s - 1)
+        phi = phi + cfg.dt * system.drift(phi)
+        if amp > 0:
+            phi = phi + amp * np.sqrt(cfg.dt) * np.stack([g.standard_normal(system.num_spins) for g in gens])
+        phi = np.mod(phi, 2 * np.pi)
+        yield phi
+
+
 @pytest.mark.parametrize("setup, dt", [(nae_setup, 1e-3), (cut_setup, 1e-2)], ids=["nae", "cut"])
 @pytest.mark.parametrize("schedule, amplitude", [("decay", 3.0), ("constant", 0.5)])
 def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude, monkeypatch):
@@ -100,19 +137,57 @@ def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude, mo
         score = lambda phi: count_satisfied(instance, snap_to_spins(phi))
     else:
         score = lambda phi: count_cut(instance, snap_to_labels(phi, system.k_partitions))
-    gens = [np.random.default_rng(8 + r) for r in range(3)]
-    phi = np.stack([g.uniform(0, 2 * np.pi, system.num_spins) for g in gens])
-    for s in range(cfg.steps + 1):
-        if s:
-            amp = cfg.noise_at(s - 1)
-            phi = phi + dt * system.drift(phi)
-            if amp > 0:
-                phi = phi + amp * np.sqrt(dt) * np.stack([g.standard_normal(system.num_spins) for g in gens])
-            phi = np.mod(phi, 2 * np.pi)
+    for s, phi in enumerate(replayed_phases(system, cfg)):
         energies, metrics = system.energy(phi), score(phi)
         expected = [(float(energies[r]), int(metrics[r])) for r in range(3)]
         for result in results:
             assert [(rec.energy, rec.metric) for rec in result.trace if rec.step == s] == expected
+
+
+# one system per evaluation path: NAE through the dense pattern (K = 4 and 6) and
+# through index arrays (N > 256), the cut with pad slots and with W = 1
+FUSED_SYSTEMS = {
+    "nae4-dense": lambda: NaeSystem.from_instance(generate_planted_nae(20, 50, 4, seed=1)[0]),
+    "nae6": lambda: NaeSystem.from_instance(generate_planted_nae(20, 50, 6, seed=1)[0]),
+    "nae4-index": lambda: NaeSystem.from_instance(generate_planted_nae(300, 750, 4, seed=1)[0]),
+    "cut-pads": lambda: CutSystem.from_hypergraph(generate_random_hypergraph(12, 24, 2, 4, seed=1), 3),
+    "cut-w1": lambda: CutSystem.from_hypergraph(generate_random_hypergraph(10, 20, 2, 2, seed=3), 3),
+}
+
+
+def fused_system(name):
+    system = FUSED_SYSTEMS[name]()
+    if name.startswith("nae"):
+        assert (system._pattern is None) == (name == "nae4-index")
+    else:
+        assert (system._slots.shape[0] == 1) == (name == "cut-w1")
+        assert (name == "cut-w1") or (system._slots == 0).any()  # pad slots read pair 0
+    return system
+
+
+@pytest.mark.parametrize("name", FUSED_SYSTEMS)
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_fused_drift_and_energy_are_the_standalone_calls(name, batch):
+    system = fused_system(name)
+    phi = np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, system.num_spins))
+    drift, energy = system.drift(phi, energy=True)
+    alone = system.energy(phi)
+    assert drift.shape == phi.shape and drift.tobytes() == system.drift(phi).tobytes()
+    assert type(energy) is type(alone) and np.shape(energy) == batch
+    assert np.asarray(energy).tobytes() == np.asarray(alone).tobytes()
+
+
+@pytest.mark.parametrize("name", FUSED_SYSTEMS)
+def test_recorded_energies_are_the_standalone_energies_of_the_replayed_phases(name):
+    # every step recorded: steps 0..steps-1 take the energy from the drift pass,
+    # the last from its own call; each must be system.energy of the step's phases
+    system = fused_system(name)
+    cfg = SolverConfig(dt=1e-2 if name.startswith("cut") else 1e-3, steps=40, restarts=3, seed=5, record_every=1)
+    result = run(system, cfg, system.instance)
+    for s, phi in enumerate(replayed_phases(system, cfg)):
+        recorded = np.array([rec.energy for rec in result.trace if rec.step == s])
+        assert recorded.tobytes() == system.energy(phi).tobytes()
+    assert np.array([summary.final_energy for summary in result.restarts]).tobytes() == recorded.tobytes()
 
 
 def test_lyapunov_audit_follows_the_run_trajectory():
@@ -128,8 +203,12 @@ def test_lyapunov_audit_follows_the_run_trajectory():
 class _NanDrift:
     num_spins = 3
 
-    def drift(self, phases):
+    def nan_drift(self, phases):
         return np.where(np.arange(3) == 1, np.nan, 0.0) * np.ones_like(phases)
+
+    def drift(self, phases, energy=False):
+        drift = self.nan_drift(phases)
+        return (drift, self.energy(phases)) if energy else drift
 
     def energy(self, phases):
         return np.zeros(np.shape(phases)[:-1])
@@ -145,7 +224,7 @@ def test_trajectory_raises_on_nonfinite_drift():
 
 
 class _NanDriftInRestart2(_NanDrift):
-    def drift(self, phases):
+    def nan_drift(self, phases):
         return np.where(np.arange(len(phases))[:, None] == 2, np.nan, 0.0) * np.ones_like(phases)
 
 
@@ -153,19 +232,29 @@ def test_trajectory_names_the_first_restart_with_a_nonfinite_drift():
     gens = [np.random.default_rng(r) for r in range(4)]
     cfg = SolverConfig(dt=1e-3, steps=5, noise_amplitude=0.0)
     with pytest.raises(RuntimeError, match="non-finite drift in restart 2 at step 1"):
-        list(engine._trajectory(_NanDriftInRestart2(), cfg, gens))
+        list(engine._trajectory(_NanDriftInRestart2(), cfg, gens, cfg.record_every))
 
 
 @dataclass(frozen=True)
 class _NanEnergyInRestart2(NaeSystem):
-    """Restart 2's energy is NaN from the ``nan_from``-th call on, which is
-    step ``nan_from`` when every step is recorded."""
+    """Restart 2's energy is NaN from the ``nan_from``-th energy evaluation on,
+    fused with a drift or standalone, which is step ``nan_from`` when every
+    step is recorded."""
 
     nan_from: int = 0
     calls: count = field(default_factory=count, compare=False)
 
+    def drift(self, phases, energy=False):
+        if not energy:
+            return super().drift(phases)
+        drift, out = super().drift(phases, energy=True)
+        return drift, self._poison(out)
+
     def energy(self, phases):
-        out = super().energy(phases).copy()
+        return self._poison(super().energy(phases))
+
+    def _poison(self, energies):
+        out = energies.copy()
         if next(self.calls) >= self.nan_from:
             out[2] = np.nan
         return out
@@ -314,7 +403,7 @@ def test_best_assignment_is_the_snap_at_best_step(setup, dt, steps, target):
         assert any(reached) and not all(reached)
     snap, score = engine._dispatch(system, instance)
     gens = [np.random.default_rng(cfg.seed + r) for r in range(cfg.restarts)]
-    snapped = [snap(phi) for phi in engine._trajectory(system, cfg, gens)]
+    snapped = [snap(phi) for phi, _ in engine._trajectory(system, cfg, gens, cfg.record_every)]
     expected = snapped[result.best_step][result.best_restart]
     assert result.best_assignment.dtype == expected.dtype
     assert result.best_assignment.tobytes() == expected.tobytes()

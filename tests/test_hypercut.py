@@ -357,14 +357,27 @@ def test_count_cut_vectorised_matches_edge_loop():
 
 
 @st.composite
-def labelled_hypergraphs(draw):
-    """A hypergraph on 2..8 nodes, K in 2..4 and labels of batch shape (B1, B2)."""
+def labelled_hypergraphs(draw, values=None):
+    """A hypergraph on 2..8 nodes and labels of batch shape (B1, B2), drawn
+    from ``values``, by default 0..K-1 for a K in 2..4."""
     n = draw(st.integers(2, 8))
     edge = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True)
     graph = Hypergraph(n, tuple(map(tuple, draw(st.lists(edge, min_size=1, max_size=12)))))
-    k = draw(st.integers(2, 4))
+    if values is None:
+        values = st.integers(0, draw(st.integers(2, 4)) - 1)
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), n)
-    return graph, draw(arrays(int, shape, elements=st.integers(0, k - 1)))
+    return graph, draw(arrays(int, shape, elements=values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(labelled_hypergraphs(values=st.integers(-3, 3)))
+def test_count_cut_matches_set_based_scorer_on_any_integers(problem):
+    graph, labels = problem
+    batched = count_cut(graph, labels)
+    assert batched.shape == labels.shape[:-1]
+    for idx in np.ndindex(labels.shape[:-1]):
+        row = labels[idx]
+        assert batched[idx] == sum(len({int(row[v - 1]) for v in edge}) > 1 for edge in graph.hyperedges)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

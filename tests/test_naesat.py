@@ -240,11 +240,12 @@ def test_index_form_is_batch_invariant(k, n, m, batch):
 def assert_batch_invariant(system, phi):
     """The orders >= 4 part of each batch row equals its solo evaluation bit for bit."""
     n = system.num_spins
-    energies = system._higher_energy(phi).reshape(-1)
-    drifts = system._higher_drift(phi).reshape(-1, n)
+    psi = system._psi(phi)
+    energies = system._higher_energy(psi).reshape(-1)
+    drifts = system._higher_drift(psi).reshape(-1, n)
     for row, state in enumerate(phi.reshape(-1, n)):
-        assert energies[row] == system._higher_energy(state)
-        assert np.array_equal(drifts[row], system._higher_drift(state))
+        assert energies[row] == system._higher_energy(system._psi(state))
+        assert np.array_equal(drifts[row], system._higher_drift(system._psi(state)))
 
 
 def with_repeated_and_cancelling_clauses(inst):

@@ -155,9 +155,9 @@ def test_count_satisfied_batched():
 
 
 @st.composite
-def spin_batches(draw):
+def spin_batches(draw, values=st.sampled_from([-1, 1])):
     """A CNF of width K in 2..5 on K..8 variables with 1..10 clauses, and
-    spins of batch shape (B1, B2)."""
+    spins of batch shape (B1, B2) drawn from ``values``."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(k, 8))
     variables = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
@@ -165,7 +165,7 @@ def spin_batches(draw):
     clause = st.tuples(variables, signs).map(lambda vs: tuple(v * s for v, s in zip(*vs)))
     inst = CnfInstance(n, tuple(draw(st.lists(clause, min_size=1, max_size=10))))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), n)
-    return inst, draw(arrays(int, shape, elements=st.sampled_from([-1, 1])))
+    return inst, draw(arrays(int, shape, elements=values))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -176,6 +176,23 @@ def test_count_satisfied_batched_equals_scalar(problem):
     for idx in np.ndindex(spins.shape[:-1]):
         single = count_satisfied(inst, spins[idx])
         assert type(single) is int and single == batched[idx]
+
+
+def set_based_satisfied(clauses, spins) -> int:
+    """Clauses whose literal values sign * spin are not all one value."""
+    return sum(len({(1 if lit > 0 else -1) * int(spins[abs(lit) - 1]) for lit in clause}) > 1
+               for clause in clauses)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spin_batches(values=st.integers(-3, 3)))
+def test_count_satisfied_matches_set_based_scorer_on_any_integers(problem):
+    # spins past {-1, +1}: a literal value v and its negation -v must still differ
+    inst, spins = problem
+    batched = count_satisfied(inst, spins)
+    assert batched.shape == spins.shape[:-1]
+    for idx in np.ndindex(spins.shape[:-1]):
+        assert batched[idx] == set_based_satisfied(inst.clauses, spins[idx])
 
 
 def test_count_satisfied_batch_matches_all_equal_indicator():
