@@ -9,9 +9,11 @@ linear decay that reaches zero at 80% of ``steps``.  Restart r draws its
 initial phases and its entire noise stream from a generator seeded with
 ``seed + r``, so results are bit-reproducible for a fixed (instance,
 config).  The restarts are evolved together as one batch; a cut restart r
-replays bit for bit as a solo run seeded ``seed + r``, but NAE's products
-with ``J`` and its dense pattern sum in an order set by the batch shape, so
-an NAE restart replays only in a batch of the same ``restarts`` count.
+replays bit for bit as a solo run seeded ``seed + r``, and so does an NAE
+restart past the dense cutoff (``naesat.DENSE_FILL``).  Below it, the
+products with ``J`` and the dense pattern sum in an order set by the batch
+shape, so an NAE restart replays only in a batch of the same ``restarts``
+count.
 Every restart integrates to the end of the loop; ``target`` only stops a
 restart's recording, and the loop ends early once every restart has stopped.
 
@@ -105,7 +107,8 @@ class TraceRecord:
 @dataclass(frozen=True)
 class RestartSummary:
     """Outcome of one restart.  ``seed`` replays it bit for bit: as a solo run
-    for the cut, in a batch of the same ``restarts`` count for NAE (see above).
+    for the cut and NAE's index form, in a batch of the same ``restarts``
+    count for NAE's dense form (see above).
     ``stopped_early`` is ``steps_run < config.steps``: the restart reached
     ``target`` before the last step, and its recording stopped there."""
 

@@ -11,25 +11,32 @@ couplings) plus a constant 1, so the energy
 
 equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
 
-The couplings come from one pass over the clause arrays: each even-size
-subset of a clause's positions is a term weighted by the product of its
-literal signs, kept per clause, unmerged (a repeated tuple counts once per
-copy, which gives the same sum).  Each pair term adds its weight into a
-symmetric, zero-diagonal, integer-valued N x N matrix J at both
-orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
-and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 for one cos and
-one sin per phase.  Each order >= 4 is M * C(K, r) ascending tuples.
-While at least 1/64 of an alternating-sign (N, T) pattern would be nonzero
-(``DENSE_FILL``), the terms are its columns and psi = phi @ pattern.
-Sparser instances (for K = 4, N > 256) gather psi node-major, from the
-rows of [phi.T, -phi.T], and ``_scatter_add`` sums the drift back by variable
-as it does the cut's; every step of that form is elementwise, a gather or a
-per-column reduction, so each batch row is evaluated exactly as it would be alone.
-The drift is the exact negative gradient: the pairs give
-s * (J c) - c * (J s), a higher-order term w cos(psi) gives +/- w sin(psi)
-to each member phase, the sign given by the member's position parity in
-the ascending tuple, and the pinning term gives -C_s sin(2 phi_i).  Energy
-is then a Lyapunov function of the flow.
+The terms are every even-size subset of a clause's positions, weighted by
+the product of its literal signs and kept per clause, unmerged (a repeated
+tuple counts once per copy, which gives the same sum).  Two forms evaluate
+them.  While at least 1/64 of an alternating-sign (N, T) pattern of the
+order >= 4 terms would be nonzero (``DENSE_FILL``; for K = 4 up to N = 256),
+each pair term adds its weight into a symmetric, zero-diagonal, integer
+N x N matrix J at both orientations; as cos(phi_a - phi_b) = c_a c_b +
+s_a s_b with c = cos(phi) and s = sin(phi), the pairs give
+(c^T J c + s^T J s) / 2 and the drift s * (J c) - c * (J s).  The orders
+>= 4 are the pattern's columns, psi = phi @ pattern, and a term w cos(psi)
+gives +/- w sin(psi) to each member phase, the sign given by the member's
+position parity in the ascending tuple.
+
+Past that cutoff, one pass per clause reads its K slot phasors
+w_a = sigma_a e^(i phi_a) node-major, from cos and sin of phi.T, as the cut
+reads its phases.  With S = sum_a w_a, the clause's pairs are
+(|S|^2 - K)/2 with drift Im(w_a conj S) to slot a, and each order >= 4
+tuple is Re z of its alternating product z = w_p1 conj(w_p2) w_p3 ...,
+with drift +/- Im z to its members by position parity.  ``_scatter_add``
+sums the slot gains by variable as it sums the cut's.  That form stores
+O(K * M + N) numbers, takes no trig past cos and sin of phi, and every step
+of it is elementwise, a gather or a sum along a leading axis, so each batch
+row is evaluated exactly as it would be alone.
+
+In both forms the pinning term gives -C_s sin(2 phi_i); the drift is the
+exact negative gradient, so the energy is a Lyapunov function of the flow.
 
 A :class:`NaeSystem` holds the CNF instance it was built from and builds
 its couplings once, on construction; ``engine.run`` scores against that
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -49,17 +57,26 @@ from .polynomial import build_objective  # noqa: F401
 from .polynomial import check_clause_width
 
 
-# The order >= 4 terms keep the dense (N, T) pattern while at least 1/64 of
-# it is nonzero, N*T <= DENSE_FILL * nnz with nnz = sum_r r*T_r; sparser
-# instances gather and scatter through index arrays.  For K = 4 the index
-# form starts past N = 256.  Order >= 4 part of one drift, planted NAE-4,
-# 20 restarts, in us, the better of two runs (2 vCPU, numpy 2.4.6, OpenBLAS
-# on 1 thread); the two forms are close near 200/500:
+# The dense form (J and the (N, T) pattern) is kept while at least 1/64 of the
+# pattern is nonzero, N*T <= DENSE_FILL * nnz with nnz = sum_r r*T_r; past
+# that each clause is evaluated from its slot phasors.  For K = 4 the
+# per-clause pass starts past N = 256.  One whole drift in engine.run's step
+# loop, planted NAE-4, 20 restarts, in us, the median of 5 interleaved runs
+# (2 vCPU, numpy 2.4.6, OpenBLAS on 1 thread); the per-clause pass wins from
+# about 200/500 up:
 #
-#     N/M       20/50  100/250  200/500  300/750  400/1000  1000/2500
-#     dense        15      137      636     1060      1672       7927
-#     index        52      254      565      768      1077       2868
+#     N/M          20/50  100/250  200/500  300/750  400/1000  1000/2500
+#     dense           88      300     1011     1678      2751      12313
+#     per-clause     167      324      978     1332      2225       6512
 DENSE_FILL = 64
+
+# The per-clause pass takes its clauses in blocks whose largest array (the
+# larger of K and a clause's order >= 4 term count, times clauses, times
+# restarts) holds about _BLOCK values, so a block's arrays stay in cache and
+# a call maps fewer fresh pages.  Step-loop drift at NAE-4 1000/2500, 20
+# restarts, with 2^13, 2^14, 2^15 and 2^16: 5.3, 4.5, 4.2 and 5.2 ms (same
+# machine, medians of 5).
+_BLOCK = 2 ** 15
 
 
 def default_constants(k: int) -> tuple[float, float, bool]:
@@ -73,15 +90,19 @@ class NaeSystem:
     """Energy/drift evaluator for one NAE-K-SAT instance.
 
     The couplings are the indicator polynomial of ``instance`` scaled by
-    2^(K-1), so they are integers, built per clause in one pass over the even
-    orders: the order-2 terms summed into the matrix ``_pairs`` (J), the
-    orders >= 4 kept unmerged as ``_tuples`` (one ascending (T_r, r) array
-    per order, in clause order) and ``_weights`` (+-1 each).  Those terms
-    are evaluated through the dense ``_pattern`` when
-    N * T <= DENSE_FILL * nnz, nnz = sum_r r * T_r, and otherwise through
-    index arrays (``_pattern`` is None): ``_gather`` reads psi from the rows of
-    [phi.T, -phi.T], ``_scatter`` and ``_segments`` add +-w sin(psi) back up by
-    variable.  The clause count supplies the +1-per-clause energy offset.
+    2^(K-1), so they are integers: each clause's even-size position subsets,
+    weighted by their sign products.  With T order >= 4 terms over
+    nnz = sum_r r * T_r member slots, the dense form (N * T <= DENSE_FILL *
+    nnz) stores the order-2 terms summed into the matrix ``_pairs`` (J), the
+    orders >= 4 unmerged as ``_tuples`` (one ascending (T_r, r) array per
+    order, in clause order) with ``_weights`` (+-1 each), and their dense
+    ``_pattern``.  The index form (``_pattern`` is None) stores the (K, M)
+    clause-slot tables ``_slots`` (variables) and ``_signs``, with each
+    slot's row of the signed phasor table (``_rows``), one clause's
+    order >= 4 terms as position tables (``_terms``, see
+    :func:`_term_tables`), and ``_scatter`` and ``_segments``, which add the
+    slot gains up by variable.  The clause count supplies the
+    +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -90,40 +111,35 @@ class NaeSystem:
 
     def __post_init__(self):
         check_clause_width(self.instance.k)
-        n, k = self.instance.num_vars, self.instance.k
-        _check_constants(self, self.instance.num_clauses * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
+        n, k, m = self.instance.num_vars, self.instance.k, self.instance.num_clauses
+        _check_constants(self, m * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
         variables, signs = self.instance.clause_arrays
         # every even-size subset of clause positions is a term weighted by the
-        # product of its signs, kept per clause in clause order; clause_arrays
-        # rows ascend by variable, so every tuple does
-        tuples, weights = [], []
-        for r in range(2, k + 1, 2):
-            positions = np.array(list(combinations(range(k), r)))
-            tuples.append(variables[:, positions].reshape(-1, r))
-            weights.append(signs[:, positions].prod(axis=-1).ravel())
+        # product of its signs; clause_arrays rows ascend by variable, so every
+        # tuple does
+        positions = [np.array(list(combinations(range(k), r))) for r in range(2, k + 1, 2)]
+        dense = n * sum(map(len, positions[1:])) <= DENSE_FILL * sum(p.size for p in positions[1:])
+        if not dense:
+            object.__setattr__(self, "_pattern", None)
+            object.__setattr__(self, "_slots", variables.T.copy())
+            object.__setattr__(self, "_signs", signs.T.copy())
+            # each slot's row of the phasor table [w, -w]: a negated literal reads -w
+            object.__setattr__(self, "_rows", self._slots + n * (self._signs < 0))
+            object.__setattr__(self, "_terms", _term_tables(positions[1:]))
+            scatter, segments = _index_scatter(variables.T.ravel(), n)
+            object.__setattr__(self, "_scatter", scatter)
+            object.__setattr__(self, "_segments", segments)
+            return
+        # the terms kept per clause, in clause order
+        tuples = [variables[:, p].reshape(-1, p.shape[1]) for p in positions]
+        weights = [signs[:, p].prod(axis=-1).ravel() for p in positions]
         # each pair term adds its weight to J at both orientations
         (i, j), w = tuples.pop(0).T, weights.pop(0)
         pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
-        n_terms = sum(map(len, weights))
-        dense = n * n_terms <= DENSE_FILL * sum(t.size for t in tuples)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_tuples", tuple(tuples))
         object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + weights))
-        object.__setattr__(self, "_pattern", _pattern(n, tuples) if dense else None)
-        if not dense:
-            # psi adds up the signed phase rows [phi.T, -phi.T] one tuple position
-            # at a time; the odd positions read -phi
-            parity = [np.arange(t.shape[1]) % 2 for t in tuples]
-            object.__setattr__(self, "_gather", tuple((t + n * p).T.copy() for t, p in zip(tuples, parity)))
-            # each variable's drift sums the entries of [g, -g, 0...], g = w sin(psi),
-            # that its tuple positions read, plus a 0, so no segment is empty
-            starts = np.cumsum([0] + [len(t) for t in tuples])
-            entries = np.concatenate([start + np.arange(len(t))[:, None] + n_terms * p
-                                      for start, t, p in zip(starts, tuples, parity)]
-                                     + [np.full(n, 2 * n_terms)], axis=None)
-            order, segments = _index_scatter(np.concatenate([t.ravel() for t in tuples]), n)
-            object.__setattr__(self, "_scatter", entries[order])
-            object.__setattr__(self, "_segments", segments)
+        object.__setattr__(self, "_pattern", _pattern(n, tuples))
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
@@ -151,8 +167,8 @@ class NaeSystem:
 
     def drift(self, phases: np.ndarray, energy: bool = False):
         """dphi/dt = -dE/dphi, evaluated analytically; with ``energy``, the
-        pair (drift, energy) from one pass over the shared cos, sin, J
-        products and psi."""
+        pair (drift, energy) from one pass over the shared cos and sin and,
+        per form, the J products and psi or the clause phasors."""
         out = self._evaluate(phases, drift=True, energy=energy)
         return out if energy else out[0]
 
@@ -160,48 +176,97 @@ class NaeSystem:
         """(drift or None, energy or None) at ``phases``."""
         phi = np.asarray(phases, dtype=float)
         c, s = np.cos(phi), np.sin(phi)
-        cj, sj, psi = c @ self._pairs, s @ self._pairs, self._psi(phi)
+        if self._pattern is None:
+            coupled, clauses = self._clause_pass(c.T, s.T, drift, energy)
+        else:
+            coupled, clauses = self._dense_pass(phi, c, s, drift, energy)
         out_drift = out_energy = None
         if drift:
-            coupled = s * cj - c * sj + self._higher_drift(psi)
             out_drift = self.coupling * coupled - 2.0 * self.harmonic * s * c  # sin 2phi = 2 s c
         if energy:
-            pairs = 0.5 * (c * cj + s * sj).sum(axis=-1)
             pinning = 0.5 * self.harmonic * (c * c - s * s).sum(axis=-1)  # cos 2phi
-            out_energy = self.coupling * (pairs + self._higher_energy(psi) + self.instance.num_clauses) - pinning
+            out_energy = self.coupling * (clauses + self.instance.num_clauses) - pinning
             if out_energy.ndim == 0:
                 out_energy = float(out_energy)
         return out_drift, out_energy
 
-    def _psi(self, phi):
-        """The alternating phase sum of every order >= 4 term: phi @ pattern,
-        (..., T), in the dense form; in the index form added up position by
-        position, node-major: (T, ...) from ``phi`` (..., N)."""
-        if self._pattern is not None:
-            return phi @ self._pattern
-        signed = np.concatenate([phi.T, -phi.T])
-        parts = []
-        for positions in self._gather:
-            psi = np.take(signed, positions[0], axis=0)
-            for p in positions[1:]:
-                psi += np.take(signed, p, axis=0)
-            parts.append(psi)
-        return np.concatenate(parts)
+    def _dense_pass(self, phi, c, s, drift: bool, energy: bool):
+        """The clause terms' (drift, energy) in the dense form: the pairs from
+        J's products with c and s, the orders >= 4 from psi = phi @ pattern."""
+        cj, sj, psi = c @ self._pairs, s @ self._pairs, phi @ self._pattern
+        coupled = clauses = None
+        if drift:
+            coupled = s * cj - c * sj + (np.sin(psi) * self._weights) @ self._pattern.T
+        if energy:
+            clauses = 0.5 * (c * cj + s * sj).sum(axis=-1) + np.cos(psi) @ self._weights
+        return coupled, clauses
 
-    def _higher_energy(self, psi):
-        """sum_t w_t cos(psi_t) over the orders >= 4, from ``_psi``."""
-        if self._pattern is not None:
-            return np.cos(psi) @ self._weights
-        # one reduceat segment sums each column on its own: .sum(0) would sum the
-        # batch columns of the gather's layout in another order than a solo one
-        return np.add.reduceat((np.cos(psi).T * self._weights).T, [0], axis=0)[0].T
-
-    def _higher_drift(self, psi):
-        """The orders >= 4 part of the drift, from ``_psi``: +-w_t sin(psi_t)
-        to each member of term t."""
-        if self._pattern is not None:
-            return (np.sin(psi) * self._weights) @ self._pattern.T
-        return _scatter_add((np.sin(psi).T * self._weights).T, self._scatter, self._segments).T
+    def _clause_pass(self, c, s, drift: bool, energy: bool):
+        """The clause terms' (drift, energy) in the index form, from node-major
+        c = cos(phi).T and s, (N, ...).  Per clause, w_a = sigma_a e^(i phi_a)
+        per slot and S = sum_a w_a give the pairs: energy (|S|^2 - K)/2 and
+        drift Im(w_a conj S) to slot a.  Each order >= 4 term's alternating
+        product z = w_p1 conj(w_p2) w_p3 ..., formed from the factors
+        w_a conj(w_b) of its position pairs (see :func:`_term_tables`), gives
+        Re z to the energy and +-Im z to its members by position parity.  The
+        arithmetic is real, on (real, imaginary) pairs: numpy's complex
+        products can round otherwise at one array shape than at another.  The
+        clauses go in blocks (see ``_BLOCK``); the slot gains then add up by
+        variable."""
+        n, (k, m), batch = len(c), self._slots.shape, c.shape[1:]
+        table = np.empty((2, 2 * n, *batch))  # (real, imaginary) parts of [w, -w]
+        table[0, :n], table[1, :n] = c, s
+        np.negative(table[:, :n], out=table[:, n:])
+        if drift:
+            # the slot gains, (K, M, ...), then a zero row per variable for _scatter_add
+            buffer = np.empty((k * m + n, *batch))
+            buffer[k * m:] = 0.0
+            gains = buffer[:k * m].reshape(k, m, *batch)
+        if energy:
+            clauses = np.empty((m, *batch))
+        pairs, steps, members = self._terms
+        depth = max(k, len(steps[0][1]))  # rows per clause of w and z: K, or the terms
+        width = max(1, _BLOCK // (depth * prod(batch)))
+        for block in (slice(lo, lo + width) for lo in range(0, m, width)):
+            w = np.take(table, self._rows[:, block], axis=1)  # (2, K, width, ...)
+            x, y = _add_rows(w, axis=1)  # S, (real, imaginary), one slot position at a time
+            if drift:
+                g = np.multiply(w[1], x, out=gains[:, block])
+                g -= w[0] * y
+            if energy:
+                e = np.multiply(x, x, out=clauses[block])
+                e += y * y
+                e -= k
+                e *= 0.5
+            # z is a product of factors w_a conj(w_b), one per position pair (a, b) of
+            # the term, taken one at a time; the terms that long are a suffix of the rows
+            a, (u_b, v_b) = _rows(w, pairs[0]), _rows(w, pairs[1])
+            u_v_b, v_v_b = a * v_b
+            # w_a conj(w_b), (real, imaginary); in place unless a is a view of w
+            factors = np.multiply(a, u_b, out=None if isinstance(pairs[0], slice) else a)
+            factors[0] += v_v_b
+            factors[1] -= u_v_b
+            z = np.take(factors, steps[0][1], axis=1)
+            for first, column in steps[1:]:
+                (a_re, a_im), re, im = _rows(factors, column), z[0, first:], z[1, first:]
+                re_a_im, im_a_im = re * a_im, im * a_im
+                re *= a_re
+                im *= a_re
+                re -= im_a_im
+                im += re_a_im
+            if energy:
+                e += _add_rows(z[0])
+            if drift:
+                # Im z at the members' even positions, -Im z at the odd ones, by slot;
+                # a lone term (K = 4) holds slot p at position p
+                if members is None:
+                    for p in range(k):
+                        (np.subtract if p % 2 else np.add)(g[p], z[1, 0], out=g[p])
+                else:
+                    signed = np.concatenate([z[1], -z[1]])
+                    g += _add_rows(np.take(signed, members, axis=0), axis=1)
+        coupled = _scatter_add(buffer, self._scatter, self._segments, mirrored=False).T if drift else None
+        return coupled, np.add.reduceat(clauses, [0], axis=0)[0].T if energy else None
 
 
 def _check_constants(system, terms: int, bound: str) -> None:
@@ -229,13 +294,68 @@ def _index_scatter(keys, n: int):
     return order, np.cumsum(counts) - counts
 
 
-def _scatter_add(g, scatter, segments):
-    """Add up the rows [g, -g, 0...] by variable, node-major: ``g`` is
-    (items, ...), the result (N, ...); no sum crosses batch columns."""
-    gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
-    gains[:len(g)] = g
-    np.negative(g, out=gains[len(g):2 * len(g)])
-    return np.add.reduceat(np.take(gains, scatter, axis=0), segments, axis=0)
+def _scatter_add(g, scatter, segments, mirrored: bool = True):
+    """Add up by variable, node-major, the rows [g, -g, 0...] or, when not
+    ``mirrored``, the rows of ``g`` as given, its zero rows included: ``g``
+    is (items, ...), the result (N, ...); no sum crosses batch columns."""
+    if mirrored:
+        gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
+        gains[:len(g)] = g
+        np.negative(g, out=gains[len(g):2 * len(g)])
+        g = gains
+    return np.add.reduceat(np.take(g, scatter, axis=0), segments, axis=0)
+
+
+def _term_tables(positions):
+    """A clause's order >= 4 terms as index tables, from each order's
+    ascending position tuples (T_r, r), orders ascending.  A term's
+    alternating product is the product of the factors w_a conj(w_b) of its
+    position pairs (a, b) = (p1, p2), (p3, p4), ...; ``pairs`` holds each
+    such (a, b) once, as the index of the a slots and that of the b slots.
+    The terms with more than j pairs are a suffix, and ``steps`` holds, per
+    j, its first term and those terms' pair ids at j.  ``members`` holds,
+    per slot, its entries of [Im z, -Im z]: term t at t, or at T + t where
+    the slot sits at an odd position; every slot is in sum_r C(K-1, r-1)
+    terms.  A lone term (K = 4) has no ``members``: its slot p sits at p."""
+    ids = {}
+    paired = [[ids.setdefault(pair, len(ids)) for pair in zip(t[0::2], t[1::2])]
+              for p in positions for t in p.tolist()]
+    width = max(map(len, paired))
+    padded = np.array([ts + [-1] * (width - len(ts)) for ts in paired])
+    steps = tuple((first, padded[first:, j] if j == 0 else _as_slice(padded[first:, j]))
+                  for j, first in enumerate(np.argmax(padded >= 0, axis=0)))
+    slots = np.concatenate([np.pad(p, ((0, 0), (0, 2 * width - p.shape[1])), constant_values=-1) for p in positions])
+    terms, places = np.nonzero(slots >= 0)
+    order = np.argsort(slots[terms, places], kind="stable")
+    members = (terms + len(slots) * (places % 2))[order].reshape(slots.max() + 1, -1)
+    return tuple(map(_as_slice, np.array(list(ids)).T)), steps, None if len(slots) == 1 else members
+
+
+def _rows(x, index):
+    """``x[:, index]``: a view for a slice, else np.take, whose result, unlike
+    numpy's advanced indexing along axis 1, is C-ordered."""
+    return x[:, index] if isinstance(index, slice) else np.take(x, index, axis=1)
+
+
+def _as_slice(index):
+    """``index`` as a slice where its entries step evenly upward, so that
+    indexing with it reads a view, not a copy (K = 4 reads slots 0::2, 1::2)."""
+    start, step = index[0], index[1] - index[0] if len(index) > 1 else 1
+    if step > 0 and np.array_equal(index, start + step * np.arange(len(index))):
+        return slice(int(start), int(start + step * len(index)), int(step))
+    return index
+
+
+def _add_rows(x, axis: int = 0):
+    """``x`` added up along ``axis``, a leading one, one row at a time.
+    np.add.reduce does that unless the values past ``axis`` are a single
+    one: numpy adds pairwise along the fast axis, which ``axis`` then is."""
+    if prod(x.shape[axis + 1:]) > 1:
+        return np.add.reduce(x, axis=axis)
+    out = x.take(0, axis)
+    for i in range(1, x.shape[axis]):
+        out += x.take(i, axis)
+    return out
 
 
 def _pattern(n: int, tuples) -> np.ndarray:

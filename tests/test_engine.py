@@ -438,6 +438,24 @@ def test_cut_restart_replays_solo_from_its_seed():
     assert replace(batch.restarts[5], restart=0, seed=12) == solo.restarts[0]
 
 
+def test_nae_index_restart_replays_solo_from_its_seed():
+    # past the dense cutoff every step of the NAE energy and drift is elementwise,
+    # a gather or a sum over a leading axis, so each restart of a batch seeded 5
+    # is a solo run seeded 5 + r
+    inst, _ = generate_planted_nae(300, 750, 4, seed=1)
+    system = NaeSystem.from_instance(inst)
+    assert system._pattern is None
+    cfg = SolverConfig(dt=5e-3, steps=3000, noise_amplitude=3.0, noise_schedule="decay",
+                       restarts=4, seed=5, record_every=100)
+    batch = run(system, cfg, inst)
+    for r in range(cfg.restarts):
+        solo = run(system, replace(cfg, restarts=1, seed=cfg.seed + r), inst)
+        rows = [(rec.step, rec.energy, rec.metric) for rec in batch.trace if rec.restart == r]
+        assert len(rows) == 31
+        assert rows == [(rec.step, rec.energy, rec.metric) for rec in solo.trace]
+        assert replace(batch.restarts[r], restart=0, seed=cfg.seed + r) == solo.restarts[0]
+
+
 def test_lyapunov_audit_requires_zero_noise():
     inst, system = nae_setup()
     with pytest.raises(ValueError, match="noise"):

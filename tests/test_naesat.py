@@ -144,12 +144,16 @@ def test_snap_recovers_plant_from_its_lattice():
 
 
 def assert_exact_scaled_objective(system):
-    """J's upper triangle, then the stored order >= 4 weights summed per tuple
-    (zero sums dropped, sorted by order and tuple), are the objective's terms
-    times 2^(K-1), exactly.  The stored terms are unmerged: each order holds
-    every clause's r-subsets of its literals, in clause order, M * C(K, r)
-    rows, each weighted by its sign product; a dense pattern, where kept,
-    holds those tuples' columns."""
+    """Dense form: J's upper triangle, then the stored order >= 4 weights
+    summed per tuple (zero sums dropped, sorted by order and tuple), are the
+    objective's terms times 2^(K-1), exactly.  The stored terms are unmerged:
+    each order holds every clause's r-subsets of its literals, in clause
+    order, M * C(K, r) rows, each weighted by its sign product; the dense
+    pattern holds those tuples' columns.  Index form: see
+    ``assert_exact_clause_tables``."""
+    if system._pattern is None:
+        assert_exact_clause_tables(system)
+        return
     inst = system.instance
     pairs = system._pairs
     assert np.array_equal(pairs, pairs.T)
@@ -172,11 +176,40 @@ def assert_exact_scaled_objective(system):
         summed[key] = summed.get(key, 0) + Fraction(weight)
     couplings += sorted(((vs, w) for vs, w in summed.items() if w), key=lambda term: (len(term[0]), term[0]))
     assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
-    if system._pattern is not None:
-        pattern = np.zeros((inst.num_vars, len(tuples)))
-        for column, members in enumerate(tuples):
-            pattern[members, column] = (-1.0) ** np.arange(len(members))
-        assert np.array_equal(system._pattern, pattern)
+    pattern = np.zeros((inst.num_vars, len(tuples)))
+    for column, members in enumerate(tuples):
+        pattern[members, column] = (-1.0) ** np.arange(len(members))
+    assert np.array_equal(system._pattern, pattern)
+
+
+def assert_exact_clause_tables(system):
+    """The index form holds no N x N matrix: its (K, M) slot and sign tables
+    are ``clause_arrays`` transposed, its terms, read as position pairs, are
+    every ascending r-subset of the K positions, r = 4, 6, ... in turn, each
+    slot lists the terms that read it, by position parity, and the energy at
+    lattice states is C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N."""
+    inst = system.instance
+    variables, signs = inst.clause_arrays
+    assert not hasattr(system, "_pairs")
+    assert np.array_equal(system._slots, variables.T) and np.array_equal(system._signs, signs.T)
+    expected = [t for r in range(4, inst.k + 1, 2) for t in combinations(range(inst.k), r)]
+    (first_slots, second_slots), steps, members = system._terms
+    pairs = np.stack([np.arange(inst.k)[first_slots], np.arange(inst.k)[second_slots]])
+    terms = [[] for _ in expected]
+    for first, ids in steps:
+        for term, pair in enumerate(np.arange(pairs.shape[1])[ids], first):
+            terms[term] += pairs[:, pair].tolist()
+    assert terms == [list(t) for t in expected]
+    if members is None:
+        assert len(expected) == 1
+    else:
+        for slot, entries in enumerate(members):
+            assert entries.tolist() == [t + len(expected) * (term.index(slot) % 2)
+                                        for t, term in enumerate(expected) if slot in term]
+    spins = np.random.default_rng(inst.num_vars).choice([-1, 1], size=(20, inst.num_vars))
+    unsat = inst.num_clauses - count_satisfied(inst, spins)
+    expected = system.coupling * 2 ** (inst.k - 1) * unsat - 0.5 * system.harmonic * inst.num_vars
+    assert np.max(np.abs(system.energy(lattice_state(spins)) - expected)) < 1e-9
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
@@ -186,7 +219,7 @@ def test_weights_are_the_exact_scaled_objective(k):
 
 
 # (K, N, M) past the dense cutoff: each takes the index form
-INDEX_SIZES = [(4, 300, 750), (6, 300, 100), (8, 320, 40)]
+INDEX_SIZES = [(4, 300, 750), (5, 300, 200), (6, 300, 100), (7, 300, 60), (8, 320, 40)]
 
 
 @pytest.mark.parametrize("k, n, m", INDEX_SIZES)
@@ -226,6 +259,7 @@ def test_dense_cutoff(k, n, m, dense):
     # K = 4 keeps the pattern up to N = 256, where it is 1/64 full
     system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=3)[0])
     assert (system._pattern is not None) == dense
+    assert hasattr(system, "_pairs") == dense  # the index form holds no N x N matrix
     if dense:
         assert system._pattern.shape == (n, len(system._weights))
 
@@ -237,15 +271,22 @@ def test_index_form_is_batch_invariant(k, n, m, batch):
     assert_batch_invariant(system, np.random.default_rng(k).uniform(0, 2 * np.pi, (*batch, n)))
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_one_clause_index_form_is_batch_invariant(k):
+    # a solo call on one clause holds one value per term row: its sums over the
+    # terms must still add row by row, as a batch's do
+    system = NaeSystem.from_instance(CnfInstance(300, (tuple(range(1, k + 1)),)))
+    assert system._pattern is None
+    assert_batch_invariant(system, np.random.default_rng(k).uniform(0, 2 * np.pi, (20, 300)))
+
+
 def assert_batch_invariant(system, phi):
-    """The orders >= 4 part of each batch row equals its solo evaluation bit for bit."""
+    """Each batch row of ``drift(phi, energy=True)`` equals its solo evaluation bit for bit."""
     n = system.num_spins
-    psi = system._psi(phi)
-    energies = system._higher_energy(psi).reshape(-1)
-    drifts = system._higher_drift(psi).reshape(-1, n)
-    for row, state in enumerate(phi.reshape(-1, n)):
-        assert energies[row] == system._higher_energy(system._psi(state))
-        assert np.array_equal(drifts[row], system._higher_drift(system._psi(state)))
+    drifts, energies = system.drift(phi, energy=True)
+    for state, drift, energy in zip(phi.reshape(-1, n), drifts.reshape(-1, n), energies.reshape(-1)):
+        solo_drift, solo_energy = system.drift(state, energy=True)
+        assert np.array_equal(drift, solo_drift) and energy == solo_energy
 
 
 def with_repeated_and_cancelling_clauses(inst):
@@ -283,11 +324,12 @@ def test_repeated_and_cancelling_clauses_lattice_energy_exhaustive():
 
 @pytest.mark.parametrize("batch", [(20,), (2, 4)])
 def test_repeated_and_cancelling_clauses_index_form_is_batch_invariant(batch):
-    # K = 6 has orders 4 and 6: psi stacks two gather blocks along its term rows
+    # K = 6 has orders 4 and 6: the order-4 terms stop after 2 position pairs,
+    # the order-6 term goes on to a third
     for k, n, m in [(4, 300, 750), (6, 300, 100)]:
         inst = with_repeated_and_cancelling_clauses(generate_planted_nae(n, m, k, seed=120)[0])
         system = NaeSystem.from_instance(inst)
-        assert system._pattern is None and len(system._gather) == k // 2 - 1
+        assert system._pattern is None and len(system._terms[1]) == k // 2
         assert_batch_invariant(system, np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, n)))
 
 
