@@ -31,9 +31,10 @@ itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.  Evaluation is
 node-major: phases are read as phi.T, so every pair row and every one of the
 W slot rows holds a contiguous block over the batch, and the leave-one-out
 product is an exclusive prefix pass over the slot rows, then a suffix pass.
-The gains go in edge-major slot order to ``naesat._scatter_add``, the
-node-major sum by node that NAE's index form shares, of the rows
-[g, -g, 0...], in O(M*W + N) storage.
+The gains go in edge-major slot order to ``naesat._scatter_add``, a
+node-major sum of rows [g, -g, 0...] by node over the segments of
+``naesat._index_scatter``, which NAE's index form shares, in O(M*W + N)
+storage.
 """
 
 from __future__ import annotations

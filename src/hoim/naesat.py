@@ -29,11 +29,12 @@ w_a = sigma_a e^(i phi_a) node-major, from cos and sin of phi.T, as the cut
 reads its phases.  With S = sum_a w_a, the clause's pairs are
 (|S|^2 - K)/2 with drift Im(w_a conj S) to slot a, and each order >= 4
 tuple is Re z of its alternating product z = w_p1 conj(w_p2) w_p3 ...,
-with drift +/- Im z to its members by position parity.  ``_scatter_add``
-sums the slot gains by variable as it sums the cut's.  That form stores
-O(K * M + N) numbers, takes no trig past cos and sin of phi, and every step
-of it is elementwise, a gather or a sum along a leading axis, so each batch
-row is evaluated exactly as it would be alone.
+with drift +/- Im z to its members by position parity.  One ``reduceat``
+over the segments of ``_index_scatter`` sums the slot gains by variable, as
+the cut sums its own.  That form stores O(K * M + N) numbers, takes no trig
+past cos and sin of phi, and every step of it is elementwise, a gather or a
+sum along a leading axis, so each batch row is evaluated exactly as it would
+be alone.
 
 In both forms the pinning term gives -C_s sin(2 phi_i); the drift is the
 exact negative gradient, so the energy is a Lyapunov function of the flow.
@@ -63,19 +64,23 @@ from .polynomial import check_clause_width
 # per-clause pass starts past N = 256.  One whole drift in engine.run's step
 # loop, planted NAE-4, 20 restarts, in us, the median of 5 interleaved runs
 # (2 vCPU, numpy 2.4.6, OpenBLAS on 1 thread); the per-clause pass wins from
-# about 200/500 up:
+# about 300/750 up:
 #
 #     N/M          20/50  100/250  200/500  300/750  400/1000  1000/2500
-#     dense           88      300     1011     1678      2751      12313
-#     per-clause     167      324      978     1332      2225       6512
+#     dense           89      476     1081     2138      3206      13139
+#     per-clause     204     1324     1158     2053      2861       5777
 DENSE_FILL = 64
 
-# The per-clause pass takes its clauses in blocks whose largest array (the
-# larger of K and a clause's order >= 4 term count, times clauses, times
-# restarts) holds about _BLOCK values, so a block's arrays stay in cache and
-# a call maps fewer fresh pages.  Step-loop drift at NAE-4 1000/2500, 20
-# restarts, with 2^13, 2^14, 2^15 and 2^16: 5.3, 4.5, 4.2 and 5.2 ms (same
-# machine, medians of 5).
+# The per-clause pass takes its clauses in blocks whose (K, ...) and (T, ...)
+# arrays hold about _BLOCK values: the larger of K and a clause's order >= 4
+# term count T, times clauses, times restarts.  The pair-factor and member
+# gathers hold more per clause at wide K (sum_r r*T_r: 66 values at K = 6,
+# 456 at K = 8, against T = 16 and 99); sizing blocks by those measured
+# slower, as they then hold few clauses for their numpy calls (step-loop
+# drift, 20 restarts: K = 8 320/40 3.2 against 5.0 ms, 1000/1000 50 against
+# 90 ms).  _BLOCK is tuned at K = 4 only: NAE-4 1000/2500, 20 restarts, with
+# 2^13, 2^14, 2^15 and 2^16: 7.9, 7.0, 6.8 and 7.2 ms (medians of 7; 2 vCPU,
+# numpy 2.4.6).
 _BLOCK = 2 ** 15
 
 
@@ -99,10 +104,9 @@ class NaeSystem:
     ``_pattern``.  The index form (``_pattern`` is None) stores the (K, M)
     clause-slot tables ``_slots`` (variables) and ``_signs``, with each
     slot's row of the signed phasor table (``_rows``), one clause's
-    order >= 4 terms as position tables (``_terms``, see
-    :func:`_term_tables`), and ``_scatter`` and ``_segments``, which add the
-    slot gains up by variable.  The clause count supplies the
-    +1-per-clause energy offset.
+    order >= 4 terms as index tables (``_terms``, see :func:`_term_tables`),
+    and ``_scatter`` and ``_segments``, which add the slot gains up by
+    variable.  The clause count supplies the +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -112,6 +116,10 @@ class NaeSystem:
     def __post_init__(self):
         check_clause_width(self.instance.k)
         n, k, m = self.instance.num_vars, self.instance.k, self.instance.num_clauses
+        # the dense form keys J by i*N + j; the index form refuses the same N, before
+        # any per-variable array is allocated, so the form never decides what builds
+        if n * n > np.iinfo(np.intp).max:
+            raise OverflowError(f"{n} variables: the pair keys, up to N*N, pass numpy's integers")
         _check_constants(self, m * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
         variables, signs = self.instance.clause_arrays
         # every even-size subset of clause positions is a term weighted by the
@@ -125,7 +133,7 @@ class NaeSystem:
             object.__setattr__(self, "_signs", signs.T.copy())
             # each slot's row of the phasor table [w, -w]: a negated literal reads -w
             object.__setattr__(self, "_rows", self._slots + n * (self._signs < 0))
-            object.__setattr__(self, "_terms", _term_tables(positions[1:]))
+            object.__setattr__(self, "_terms", _term_tables(positions[1:], k))
             scatter, segments = _index_scatter(variables.T.ravel(), n)
             object.__setattr__(self, "_scatter", scatter)
             object.__setattr__(self, "_segments", segments)
@@ -206,27 +214,25 @@ class NaeSystem:
         c = cos(phi).T and s, (N, ...).  Per clause, w_a = sigma_a e^(i phi_a)
         per slot and S = sum_a w_a give the pairs: energy (|S|^2 - K)/2 and
         drift Im(w_a conj S) to slot a.  Each order >= 4 term's alternating
-        product z = w_p1 conj(w_p2) w_p3 ..., formed from the factors
-        w_a conj(w_b) of its position pairs (see :func:`_term_tables`), gives
-        Re z to the energy and +-Im z to its members by position parity.  The
-        arithmetic is real, on (real, imaginary) pairs: numpy's complex
-        products can round otherwise at one array shape than at another.  The
-        clauses go in blocks (see ``_BLOCK``); the slot gains then add up by
-        variable."""
+        product z = w_p1 conj(w_p2) w_p3 ... gives Re z to the energy and
+        +-Im z to its members by position parity.  The arithmetic is real, on
+        (real, imaginary) pairs: numpy's complex products can round otherwise
+        at one array shape than at another.  The clauses go in blocks (see
+        ``_BLOCK``); the slot gains then add up by variable."""
         n, (k, m), batch = len(c), self._slots.shape, c.shape[1:]
         table = np.empty((2, 2 * n, *batch))  # (real, imaginary) parts of [w, -w]
         table[0, :n], table[1, :n] = c, s
         np.negative(table[:, :n], out=table[:, n:])
         if drift:
-            # the slot gains, (K, M, ...), then a zero row per variable for _scatter_add
+            # the slot gains, (K, M, ...), then the zero row each variable's segment ends on
             buffer = np.empty((k * m + n, *batch))
             buffer[k * m:] = 0.0
             gains = buffer[:k * m].reshape(k, m, *batch)
         if energy:
             clauses = np.empty((m, *batch))
-        pairs, steps, members = self._terms
-        depth = max(k, len(steps[0][1]))  # rows per clause of w and z: K, or the terms
-        width = max(1, _BLOCK // (depth * prod(batch)))
+        pairs, orders, members = self._terms
+        terms = orders[-1][0].stop
+        width = max(1, _BLOCK // (max(k, terms) * prod(batch)))
         for block in (slice(lo, lo + width) for lo in range(0, m, width)):
             w = np.take(table, self._rows[:, block], axis=1)  # (2, K, width, ...)
             x, y = _add_rows(w, axis=1)  # S, (real, imaginary), one slot position at a time
@@ -238,34 +244,15 @@ class NaeSystem:
                 e += y * y
                 e -= k
                 e *= 0.5
-            # z is a product of factors w_a conj(w_b), one per position pair (a, b) of
-            # the term, taken one at a time; the terms that long are a suffix of the rows
-            a, (u_b, v_b) = _rows(w, pairs[0]), _rows(w, pairs[1])
-            u_v_b, v_v_b = a * v_b
-            # w_a conj(w_b), (real, imaginary); in place unless a is a view of w
-            factors = np.multiply(a, u_b, out=None if isinstance(pairs[0], slice) else a)
-            factors[0] += v_v_b
-            factors[1] -= u_v_b
-            z = np.take(factors, steps[0][1], axis=1)
-            for first, column in steps[1:]:
-                (a_re, a_im), re, im = _rows(factors, column), z[0, first:], z[1, first:]
-                re_a_im, im_a_im = re * a_im, im * a_im
-                re *= a_re
-                im *= a_re
-                re -= im_a_im
-                im += re_a_im
+            z = np.empty((3, terms, *w.shape[2:]))  # Re z, Im z, -Im z
+            _alternating_products(w, pairs, orders, out=z[:2])
             if energy:
                 e += _add_rows(z[0])
             if drift:
-                # Im z at the members' even positions, -Im z at the odd ones, by slot;
-                # a lone term (K = 4) holds slot p at position p
-                if members is None:
-                    for p in range(k):
-                        (np.subtract if p % 2 else np.add)(g[p], z[1, 0], out=g[p])
-                else:
-                    signed = np.concatenate([z[1], -z[1]])
-                    g += _add_rows(np.take(signed, members, axis=0), axis=1)
-        coupled = _scatter_add(buffer, self._scatter, self._segments, mirrored=False).T if drift else None
+                # Im z at the members' even positions, -Im z at the odd ones, by slot
+                np.negative(z[1], out=z[2])
+                g += _add_rows(np.take(z[1:].reshape(2 * terms, *z.shape[2:]), members, axis=0), axis=1)
+        coupled = np.add.reduceat(np.take(buffer, self._scatter, axis=0), self._segments, axis=0).T if drift else None
         return coupled, np.add.reduceat(clauses, [0], axis=0)[0].T if energy else None
 
 
@@ -294,62 +281,64 @@ def _index_scatter(keys, n: int):
     return order, np.cumsum(counts) - counts
 
 
-def _scatter_add(g, scatter, segments, mirrored: bool = True):
-    """Add up by variable, node-major, the rows [g, -g, 0...] or, when not
-    ``mirrored``, the rows of ``g`` as given, its zero rows included: ``g``
-    is (items, ...), the result (N, ...); no sum crosses batch columns."""
-    if mirrored:
-        gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
-        gains[:len(g)] = g
-        np.negative(g, out=gains[len(g):2 * len(g)])
-        g = gains
-    return np.add.reduceat(np.take(g, scatter, axis=0), segments, axis=0)
+def _scatter_add(g, scatter, segments):
+    """Add up by variable, node-major, the rows [g, -g, 0...]: ``g`` is
+    (items, ...), the result (N, ...); no sum crosses batch columns."""
+    gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
+    gains[:len(g)] = g
+    np.negative(g, out=gains[len(g):2 * len(g)])
+    return np.add.reduceat(np.take(gains, scatter, axis=0), segments, axis=0)
 
 
-def _term_tables(positions):
+def _term_tables(positions, k: int):
     """A clause's order >= 4 terms as index tables, from each order's
     ascending position tuples (T_r, r), orders ascending.  A term's
-    alternating product is the product of the factors w_a conj(w_b) of its
-    position pairs (a, b) = (p1, p2), (p3, p4), ...; ``pairs`` holds each
-    such (a, b) once, as the index of the a slots and that of the b slots.
-    The terms with more than j pairs are a suffix, and ``steps`` holds, per
-    j, its first term and those terms' pair ids at j.  ``members`` holds,
-    per slot, its entries of [Im z, -Im z]: term t at t, or at T + t where
-    the slot sits at an odd position; every slot is in sum_r C(K-1, r-1)
-    terms.  A lone term (K = 4) has no ``members``: its slot p sits at p."""
+    alternating product w_p1 conj(w_p2) w_p3 ... is the product of the
+    factors w_a conj(w_b) of its position pairs (a, b) = (p1, p2), (p3, p4),
+    ...: ``pairs`` holds the a slots and the b slots of each such pair, once,
+    and ``orders`` each order's span of the T terms and its (T_r, r/2) table
+    of pair ids.  ``members`` holds each slot's entries of [Im z, -Im z],
+    (K, C): term t at t, or at T + t where the slot sits at an odd position
+    of it; every slot is in C = sum_r C(K-1, r-1) terms."""
     ids = {}
-    paired = [[ids.setdefault(pair, len(ids)) for pair in zip(t[0::2], t[1::2])]
-              for p in positions for t in p.tolist()]
-    width = max(map(len, paired))
-    padded = np.array([ts + [-1] * (width - len(ts)) for ts in paired])
-    steps = tuple((first, padded[first:, j] if j == 0 else _as_slice(padded[first:, j]))
-                  for j, first in enumerate(np.argmax(padded >= 0, axis=0)))
-    slots = np.concatenate([np.pad(p, ((0, 0), (0, 2 * width - p.shape[1])), constant_values=-1) for p in positions])
-    terms, places = np.nonzero(slots >= 0)
-    order = np.argsort(slots[terms, places], kind="stable")
-    members = (terms + len(slots) * (places % 2))[order].reshape(slots.max() + 1, -1)
-    return tuple(map(_as_slice, np.array(list(ids)).T)), steps, None if len(slots) == 1 else members
+    tables = [np.array([[ids.setdefault(pair, len(ids)) for pair in zip(t[0::2], t[1::2])] for t in p.tolist()])
+              for p in positions]
+    ends = np.cumsum([len(p) for p in positions]).tolist()
+    orders = tuple((slice(end - len(t), end), t) for end, t in zip(ends, tables))
+    terms = [t for p in positions for t in p.tolist()]
+    entries = sorted((slot, t, t + len(terms) * (place % 2))
+                     for t, term in enumerate(terms) for place, slot in enumerate(term))
+    members = np.array([entry for *_, entry in entries]).reshape(k, -1)
+    return np.array(list(ids)).T, orders, members
 
 
-def _rows(x, index):
-    """``x[:, index]``: a view for a slice, else np.take, whose result, unlike
-    numpy's advanced indexing along axis 1, is C-ordered."""
-    return x[:, index] if isinstance(index, slice) else np.take(x, index, axis=1)
-
-
-def _as_slice(index):
-    """``index`` as a slice where its entries step evenly upward, so that
-    indexing with it reads a view, not a copy (K = 4 reads slots 0::2, 1::2)."""
-    start, step = index[0], index[1] - index[0] if len(index) > 1 else 1
-    if step > 0 and np.array_equal(index, start + step * np.arange(len(index))):
-        return slice(int(start), int(start + step * len(index)), int(step))
-    return index
+def _alternating_products(w, pairs, orders, out):
+    """Into ``out``, (2, T, ...), each term's alternating product
+    z = w_p1 conj(w_p2) w_p3 ..., (real, imaginary), from the slot phasors
+    ``w``: the factors w_a conj(w_b) of ``pairs``, then, order by order, each
+    term's factors multiplied in one at a time (see :func:`_term_tables`)."""
+    a, (u_b, v_b) = np.take(w, pairs[0], axis=1), np.take(w, pairs[1], axis=1)
+    u_v_b, v_v_b = a * v_b
+    factors = np.multiply(a, u_b, out=a)
+    factors[0] += v_v_b
+    factors[1] -= u_v_b
+    for span, ids in orders:
+        re, im = np.take(factors, ids[:, 0], axis=1, out=out[:, span])
+        for column in ids.T[1:]:
+            a_re, a_im = np.take(factors, column, axis=1)
+            re_a_im, im_a_im = re * a_im, im * a_im
+            re *= a_re
+            im *= a_re
+            re -= im_a_im
+            im += re_a_im
 
 
 def _add_rows(x, axis: int = 0):
     """``x`` added up along ``axis``, a leading one, one row at a time.
     np.add.reduce does that unless the values past ``axis`` are a single
     one: numpy adds pairwise along the fast axis, which ``axis`` then is."""
+    if x.shape[axis] == 1:  # a lone row, as a view
+        return x[(slice(None),) * axis + (0,)]
     if prod(x.shape[axis + 1:]) > 1:
         return np.add.reduce(x, axis=axis)
     out = x.take(0, axis)

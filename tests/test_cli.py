@@ -351,12 +351,12 @@ def test_header_past_numpy_integers_exits_2(tmp_path, command, capsys):
 @pytest.mark.parametrize("command", ["solve", "audit"])
 def test_header_past_numpy_integers_on_the_index_path_exits_2(tmp_path, command, capsys):
     # K = 4 on that many variables takes the index form, which has no N x N table;
-    # its per-variable arrays are what cannot be allocated
+    # the build refuses the same N as the dense form, before it allocates anything
     path = tmp_path / "huge4.cnf"
     path.write_text("p cnf 99999999999 1\n1 2 3 4 0\n")
     assert main([command, "--problem", "nae-sat", "--input", str(path), "--steps", "10"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "allocate" in err
+    assert err.startswith("error: instance too large") and "pass numpy's integers" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

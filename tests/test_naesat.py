@@ -193,19 +193,15 @@ def assert_exact_clause_tables(system):
     assert not hasattr(system, "_pairs")
     assert np.array_equal(system._slots, variables.T) and np.array_equal(system._signs, signs.T)
     expected = [t for r in range(4, inst.k + 1, 2) for t in combinations(range(inst.k), r)]
-    (first_slots, second_slots), steps, members = system._terms
-    pairs = np.stack([np.arange(inst.k)[first_slots], np.arange(inst.k)[second_slots]])
-    terms = [[] for _ in expected]
-    for first, ids in steps:
-        for term, pair in enumerate(np.arange(pairs.shape[1])[ids], first):
-            terms[term] += pairs[:, pair].tolist()
-    assert terms == [list(t) for t in expected]
-    if members is None:
-        assert len(expected) == 1
-    else:
-        for slot, entries in enumerate(members):
-            assert entries.tolist() == [t + len(expected) * (term.index(slot) % 2)
-                                        for t, term in enumerate(expected) if slot in term]
+    pairs, orders, members = system._terms
+    terms = []
+    for span, ids in orders:
+        terms += [tuple(pairs[:, row].T.ravel().tolist()) for row in ids]
+        assert (span.start, span.stop) == (len(terms) - len(ids), len(terms))
+    assert terms == expected
+    for slot, entries in enumerate(members):
+        assert entries.tolist() == [t + len(expected) * (term.index(slot) % 2)
+                                    for t, term in enumerate(expected) if slot in term]
     spins = np.random.default_rng(inst.num_vars).choice([-1, 1], size=(20, inst.num_vars))
     unsat = inst.num_clauses - count_satisfied(inst, spins)
     expected = system.coupling * 2 ** (inst.k - 1) * unsat - 0.5 * system.harmonic * inst.num_vars
@@ -324,12 +320,11 @@ def test_repeated_and_cancelling_clauses_lattice_energy_exhaustive():
 
 @pytest.mark.parametrize("batch", [(20,), (2, 4)])
 def test_repeated_and_cancelling_clauses_index_form_is_batch_invariant(batch):
-    # K = 6 has orders 4 and 6: the order-4 terms stop after 2 position pairs,
-    # the order-6 term goes on to a third
+    # K = 6 has orders 4 and 6, each multiplied out on its own
     for k, n, m in [(4, 300, 750), (6, 300, 100)]:
         inst = with_repeated_and_cancelling_clauses(generate_planted_nae(n, m, k, seed=120)[0])
         system = NaeSystem.from_instance(inst)
-        assert system._pattern is None and len(system._terms[1]) == k // 2
+        assert system._pattern is None and len(system._terms[1]) == k // 2 - 1
         assert_batch_invariant(system, np.random.default_rng(3).uniform(0, 2 * np.pi, (*batch, n)))
 
 
