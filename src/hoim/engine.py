@@ -10,10 +10,10 @@ initial phases and its entire noise stream from a generator seeded with
 ``seed + r``, so results are bit-reproducible for a fixed (instance,
 config).  The restarts are evolved together as one batch; a cut restart r
 replays bit for bit as a solo run seeded ``seed + r``, and so does an NAE
-restart past the dense cutoff (``naesat.DENSE_FILL``).  Below it, the
+restart past ``naesat.DENSE_N`` variables, at any K.  At N <= DENSE_N the
 products with ``J`` and the dense pattern sum in an order set by the batch
-shape, so an NAE restart replays only in a batch of the same ``restarts``
-count.
+shape, so an NAE restart there replays only in a batch of the same
+``restarts`` count.
 Every restart integrates to the end of the loop; ``target`` only stops a
 restart's recording, and the loop ends early once every restart has stopped.
 
@@ -107,8 +107,8 @@ class TraceRecord:
 @dataclass(frozen=True)
 class RestartSummary:
     """Outcome of one restart.  ``seed`` replays it bit for bit: as a solo run
-    for the cut and NAE's index form, in a batch of the same ``restarts``
-    count for NAE's dense form (see above).
+    for the cut and for NAE past ``naesat.DENSE_N`` variables, in a batch of
+    the same ``restarts`` count for NAE at N <= DENSE_N, any K (see above).
     ``stopped_early`` is ``steps_run < config.steps``: the restart reached
     ``target`` before the last step, and its recording stopped there."""
 

@@ -14,13 +14,12 @@ equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
 The terms are every even-size subset of a clause's positions, weighted by
 the product of its literal signs and kept per clause, unmerged (a repeated
 tuple counts once per copy, which gives the same sum).  Two forms evaluate
-them.  While at least 1/64 of an alternating-sign (N, T) pattern of the
-order >= 4 terms would be nonzero (``DENSE_FILL``; for K = 4 up to N = 256),
-each pair term adds its weight into a symmetric, zero-diagonal, integer
-N x N matrix J at both orientations; as cos(phi_a - phi_b) = c_a c_b +
-s_a s_b with c = cos(phi) and s = sin(phi), the pairs give
-(c^T J c + s^T J s) / 2 and the drift s * (J c) - c * (J s).  The orders
->= 4 are the pattern's columns, psi = phi @ pattern, and a term w cos(psi)
+them.  Up to N = ``DENSE_N`` variables, at every width, each pair term adds
+its weight into a symmetric, zero-diagonal, integer N x N matrix J at both
+orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
+and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 and the drift
+s * (J c) - c * (J s).  The orders >= 4 are the columns of an
+alternating-sign (N, T) pattern, psi = phi @ pattern, and a term w cos(psi)
 gives +/- w sin(psi) to each member phase, the sign given by the member's
 position parity in the ascending tuple.
 
@@ -29,12 +28,12 @@ w_a = sigma_a e^(i phi_a) node-major, from cos and sin of phi.T, as the cut
 reads its phases.  With S = sum_a w_a, the clause's pairs are
 (|S|^2 - K)/2 with drift Im(w_a conj S) to slot a, and each order >= 4
 tuple is Re z of its alternating product z = w_p1 conj(w_p2) w_p3 ...,
-with drift +/- Im z to its members by position parity.  One ``reduceat``
-over the segments of ``_index_scatter`` sums the slot gains by variable, as
-the cut sums its own.  That form stores O(K * M + N) numbers, takes no trig
-past cos and sin of phi, and every step of it is elementwise, a gather or a
-sum along a leading axis, so each batch row is evaluated exactly as it would
-be alone.
+with drift +/- Im z to its members by position parity (K <= 3 has no such
+tuple).  One ``reduceat`` over the segments of ``_index_scatter`` sums the
+(K, M) slot gains by variable, as the cut sums its (S, M) node-slot gains.
+That form stores O(K * M + N) numbers, takes no trig past cos and sin of
+phi, and every step of it is elementwise, a gather or a sum along a leading
+axis, so each batch row is evaluated exactly as it would be alone.
 
 In both forms the pinning term gives -C_s sin(2 phi_i); the drift is the
 exact negative gradient, so the energy is a Lyapunov function of the flow.
@@ -58,18 +57,17 @@ from .polynomial import build_objective  # noqa: F401
 from .polynomial import check_clause_width
 
 
-# The dense form (J and the (N, T) pattern) is kept while at least 1/64 of the
-# pattern is nonzero, N*T <= DENSE_FILL * nnz with nnz = sum_r r*T_r; past
-# that each clause is evaluated from its slot phasors.  For K = 4 the
-# per-clause pass starts past N = 256.  One whole drift in engine.run's step
-# loop, planted NAE-4, 20 restarts, in us, the median of 5 interleaved runs
-# (2 vCPU, numpy 2.4.6, OpenBLAS on 1 thread); the per-clause pass wins from
-# about 300/750 up:
+# The dense form (J and the (N, T) pattern) is kept up to N = DENSE_N variables at
+# every width.  One drift in a noisy Euler loop, planted NAE-K, 20 restarts, in us,
+# median of 5 interleaved runs (2 vCPU, numpy 2.4.6, OpenBLAS on 1 thread); K = 4
+# crosses over near 256, while K = 3 still loses to J at 1000/2500:
 #
-#     N/M          20/50  100/250  200/500  300/750  400/1000  1000/2500
-#     dense           89      476     1081     2138      3206      13139
-#     per-clause     204     1324     1158     2053      2861       5777
-DENSE_FILL = 64
+#     K  form        20/50  100/250  200/500  300/750  1000/2500
+#     4  dense          50      383     1060     2022      15899
+#        per-clause    153      498     1054     1499       5866
+#     3  dense          26      109      262      689       4784
+#        per-clause     53      342      668     1521       5802
+DENSE_N = 256
 
 # The per-clause pass takes its clauses in blocks whose (K, ...) and (T, ...)
 # arrays hold about _BLOCK values: the larger of K and a clause's order >= 4
@@ -96,17 +94,16 @@ class NaeSystem:
 
     The couplings are the indicator polynomial of ``instance`` scaled by
     2^(K-1), so they are integers: each clause's even-size position subsets,
-    weighted by their sign products.  With T order >= 4 terms over
-    nnz = sum_r r * T_r member slots, the dense form (N * T <= DENSE_FILL *
-    nnz) stores the order-2 terms summed into the matrix ``_pairs`` (J), the
-    orders >= 4 unmerged as ``_tuples`` (one ascending (T_r, r) array per
-    order, in clause order) with ``_weights`` (+-1 each), and their dense
-    ``_pattern``.  The index form (``_pattern`` is None) stores the (K, M)
-    clause-slot tables ``_slots`` (variables) and ``_signs``, with each
-    slot's row of the signed phasor table (``_rows``), one clause's
-    order >= 4 terms as index tables (``_terms``, see :func:`_term_tables`),
-    and ``_scatter`` and ``_segments``, which add the slot gains up by
-    variable.  The clause count supplies the +1-per-clause energy offset.
+    weighted by their sign products.  The dense form (N <= DENSE_N) stores the
+    order-2 terms summed into the matrix ``_pairs`` (J), the orders >= 4
+    unmerged as ``_tuples`` (one ascending (T_r, r) array per order, in clause
+    order) with ``_weights`` (+-1 each), and their ``_pattern``.  The index
+    form (``_pattern`` is None) stores the (K, M) clause-slot tables
+    ``_slots`` (variables) and ``_signs``, with each slot's row of the signed
+    phasor table (``_rows``), one clause's order >= 4 terms as index tables
+    (``_terms``, see :func:`_term_tables`), and ``_scatter`` and
+    ``_segments``, which add the slot gains up by variable.  The clause
+    count supplies the +1-per-clause energy offset.
     """
 
     instance: CnfInstance
@@ -116,18 +113,14 @@ class NaeSystem:
     def __post_init__(self):
         check_clause_width(self.instance.k)
         n, k, m = self.instance.num_vars, self.instance.k, self.instance.num_clauses
-        # the dense form keys J by i*N + j; the index form refuses the same N, before
-        # any per-variable array is allocated, so the form never decides what builds
-        if n * n > np.iinfo(np.intp).max:
-            raise OverflowError(f"{n} variables: the pair keys, up to N*N, pass numpy's integers")
+        _check_pair_keys(n)
         _check_constants(self, m * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
         variables, signs = self.instance.clause_arrays
         # every even-size subset of clause positions is a term weighted by the
         # product of its signs; clause_arrays rows ascend by variable, so every
         # tuple does
         positions = [np.array(list(combinations(range(k), r))) for r in range(2, k + 1, 2)]
-        dense = n * sum(map(len, positions[1:])) <= DENSE_FILL * sum(p.size for p in positions[1:])
-        if not dense:
+        if n > DENSE_N:
             object.__setattr__(self, "_pattern", None)
             object.__setattr__(self, "_slots", variables.T.copy())
             object.__setattr__(self, "_signs", signs.T.copy())
@@ -231,7 +224,7 @@ class NaeSystem:
         if energy:
             clauses = np.empty((m, *batch))
         pairs, orders, members = self._terms
-        terms = orders[-1][0].stop
+        terms = orders[-1][0].stop if orders else 0  # K <= 3 has no order >= 4 terms
         width = max(1, _BLOCK // (max(k, terms) * prod(batch)))
         for block in (slice(lo, lo + width) for lo in range(0, m, width)):
             w = np.take(table, self._rows[:, block], axis=1)  # (2, K, width, ...)
@@ -244,6 +237,8 @@ class NaeSystem:
                 e += y * y
                 e -= k
                 e *= 0.5
+            if not terms:
+                continue
             z = np.empty((3, terms, *w.shape[2:]))  # Re z, Im z, -Im z
             _alternating_products(w, pairs, orders, out=z[:2])
             if energy:
@@ -271,6 +266,12 @@ def _check_constants(system, terms: int, bound: str) -> None:
                          f"the energy bound {bound} overflows float")
 
 
+def _check_pair_keys(n: int) -> None:
+    """Refuse N spins whose pair keys i*N + j, up to N*N, pass numpy's integers."""
+    if n * n > np.iinfo(np.intp).max:
+        raise OverflowError(f"{n} spins: the pair keys, up to N*N, pass numpy's integers")
+
+
 def _index_scatter(keys, n: int):
     """Index form of a scatter-add into n variables: item e goes to variable
     ``keys[e]``, then item len(keys) + v, a zero, to variable v, so no run is
@@ -279,15 +280,6 @@ def _index_scatter(keys, n: int):
     counts = np.bincount(keys, minlength=n)
     order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
     return order, np.cumsum(counts) - counts
-
-
-def _scatter_add(g, scatter, segments):
-    """Add up by variable, node-major, the rows [g, -g, 0...]: ``g`` is
-    (items, ...), the result (N, ...); no sum crosses batch columns."""
-    gains = np.zeros((2 * len(g) + len(segments), *g.shape[1:]))  # one buffer, not three: fewer fresh pages
-    gains[:len(g)] = g
-    np.negative(g, out=gains[len(g):2 * len(g)])
-    return np.add.reduceat(np.take(gains, scatter, axis=0), segments, axis=0)
 
 
 def _term_tables(positions, k: int):

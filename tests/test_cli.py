@@ -339,7 +339,7 @@ def test_internal_numerical_failure_exits_1(nae_file, command, target, error, mo
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
 def test_header_past_numpy_integers_exits_2(tmp_path, command, capsys):
-    # N*N overflows the NAE pair table's length before anything is allocated
+    # N*N passes numpy's integers: the build refuses N before anything is allocated
     path = tmp_path / "huge.cnf"
     path.write_text("p cnf 99999999999 1\n1 2 0\n")
     assert main([command, "--problem", "nae-sat", "--input", str(path), "--steps", "10"]) == 2
@@ -350,13 +350,25 @@ def test_header_past_numpy_integers_exits_2(tmp_path, command, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
 def test_header_past_numpy_integers_on_the_index_path_exits_2(tmp_path, command, capsys):
-    # K = 4 on that many variables takes the index form, which has no N x N table;
-    # the build refuses the same N as the dense form, before it allocates anything
+    # K = 4 takes the index form, which has no N x N table, as K = 2 does past
+    # DENSE_N; the build refuses the same N on every form, before it allocates anything
     path = tmp_path / "huge4.cnf"
     path.write_text("p cnf 99999999999 1\n1 2 3 4 0\n")
     assert main([command, "--problem", "nae-sat", "--input", str(path), "--steps", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: instance too large") and "pass numpy's integers" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_cut_pair_keys_past_numpy_integers_exit_2(tmp_path, command, capsys):
+    # the pair key 3999999998 * N + 3999999999 would wrap in int64; the build
+    # refuses N before it allocates anything per node
+    path = tmp_path / "huge.hyp"
+    path.write_text("p hyp 4000000000 1\n3999999999 4000000000 0\n")
+    assert main([command, "--problem", "hyper-maxcut", "--k", "3", "--input", str(path), "--steps", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance too large to allocate") and "pass numpy's integers" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

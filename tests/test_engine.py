@@ -438,11 +438,12 @@ def test_cut_restart_replays_solo_from_its_seed():
     assert replace(batch.restarts[5], restart=0, seed=12) == solo.restarts[0]
 
 
-def test_nae_index_restart_replays_solo_from_its_seed():
+@pytest.mark.parametrize("k", [3, 4])
+def test_nae_index_restart_replays_solo_from_its_seed(k):
     # past the dense cutoff every step of the NAE energy and drift is elementwise,
     # a gather or a sum over a leading axis, so each restart of a batch seeded 5
-    # is a solo run seeded 5 + r
-    inst, _ = generate_planted_nae(300, 750, 4, seed=1)
+    # is a solo run seeded 5 + r; K = 3 has pairs only
+    inst, _ = generate_planted_nae(300, 750, k, seed=1)
     system = NaeSystem.from_instance(inst)
     assert system._pattern is None
     cfg = SolverConfig(dt=5e-3, steps=3000, noise_amplitude=3.0, noise_schedule="decay",

@@ -1,5 +1,8 @@
+import operator
+import tracemalloc
 import warnings
-from itertools import chain, combinations, product
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hoim.hypercut import (
     wrap_angle,
 )
 from hoim.instances import CnfInstance, Hypergraph, generate_random_hypergraph
-from hoim.naesat import NaeSystem, _index_scatter, _scatter_add, snap_to_spins
+from hoim.naesat import NaeSystem, _index_scatter, snap_to_spins
 from hoim.oracle import finite_diff_gradient
 from hoim.polynomial import count_satisfied
 
@@ -134,11 +137,17 @@ def assert_pads_exact(system, num_pairs, num_pads):
     factors, gains = slot_factors_and_gains(system, phi)
     assert np.all(factors[pad] == 1.0)
     assert np.all(gains[pad] == 0.0)  # the pair's drift gain
-    # each pad slot's + and - entries add up into node 1, the pad pair's node,
-    # where they add +-0; the scatter numbers the slots edge-major
-    node_1 = np.split(system._scatter, system._segments[1:])[0]
-    slot = np.flatnonzero(pad.T)
-    assert set(slot) | set(slot + pad.size) <= set(node_1)
+    # a pad position, past its edge's size, reads only pad slots, so it adds
+    # +-0, and it adds it to its edge's first node; the scatter numbers the
+    # node slots position-major, item p*M + m
+    nodes, (w, m) = system.instance.edge_nodes, pad.shape
+    sizes = np.array([len(e) for e in system.instance.hyperedges])
+    counts = np.diff(np.r_[system._segments, len(system._scatter)])
+    receiver = np.empty_like(system._scatter)
+    receiver[system._scatter] = np.repeat(np.arange(system.num_spins), counts)
+    for p, edge in zip(*np.nonzero(np.arange(nodes.shape[1])[:, None] >= sizes)):
+        assert pad[system._members[p] % w, edge].all()
+        assert receiver[p * m + edge] == nodes[edge, 0]
 
 
 def test_padding_pairs_are_exact_identities():
@@ -176,23 +185,20 @@ def test_pair_table_holds_each_slots_node_pair(edges):
 
 def padded_reference(system, phases, state):
     """The former per-slot evaluation: wrap, penalty, cos and sin for every
-    one of the (M, W) edge slots, short edges padded with (first node, first
-    node).  The slot gains go through the shared index scatter, pad slots
-    keyed to node 1 as the system keys them (reduceat sums pairwise, so
-    where a +-0 sits changes the rounding), and each row is summed in one
-    reduceat segment, as the system does.  Returns the energy and drift at
-    ``phases`` and the energy there with f frozen at ``state``."""
+    one of the (M, W) edge slots, slot s being position pair s (a, b) of the
+    largest edge size S in lexicographic order; a slot past its edge's size
+    reads (first node, first node).  Position p of an edge adds +g of its
+    slots (p, b), then -g of its slots (a, p), one at a time, and the (S, M)
+    node-slot sums go through the shared index scatter, each node's run
+    summed in one reduceat segment, as the system does.  Returns the energy
+    and drift at ``phases`` and the energy there with f frozen at ``state``."""
     graph, k = system.instance, system.k_partitions
-    width = max(len(e) * (len(e) - 1) // 2 for e in graph.hyperedges)
-    flat, real = [], []
-    for e in graph.hyperedges:
-        flat += chain.from_iterable(combinations(e, 2))
-        flat += e[:1] * (2 * width - len(e) * (len(e) - 1))
-        real += [True] * (len(e) * (len(e) - 1) // 2) + [False] * (width - len(e) * (len(e) - 1) // 2)
-    index = np.array(flat, dtype=np.intp).reshape(graph.num_edges, width, 2) - 1
-    pair_i, pair_j = index[..., 0], index[..., 1]
-    keys = np.where(np.reshape(real, pair_i.shape), [pair_i, pair_j], 0)
-    scatter, segments = _index_scatter(keys.ravel(), graph.num_nodes)
+    size = graph.max_edge_size
+    slots = list(combinations(range(size), 2))
+    padded = np.array([e + e[:1] * (size - len(e)) for e in graph.hyperedges], dtype=np.intp) - 1
+    real = np.array([[b < len(e) for _, b in slots] for e in graph.hyperedges])
+    pair_i, pair_j = (np.where(real, padded[:, [slot[c] for slot in slots]], padded[:, :1]) for c in (0, 1))
+    scatter, segments = _index_scatter(padded.T.ravel(), graph.num_nodes)
 
     def row_sum(x):
         return np.add.reduceat(x, [0], axis=-1)[..., 0]
@@ -216,8 +222,12 @@ def padded_reference(system, phases, state):
     np.cumprod(factors[..., :0:-1], axis=-1, out=others[..., -2::-1])
     others[..., -1] = 1.0
     gain *= others
-    flat = gain.reshape(*gain.shape[:-2], -1)
-    drift = _scatter_add(flat.T, scatter, segments).T - system.harmonic * np.sin(k * phases)
+    node_slots = [reduce(operator.add, [gain[..., s] for s, (a, _) in enumerate(slots) if a == p]
+                         + [-gain[..., s] for s, (_, b) in enumerate(slots) if b == p])
+                  for p in range(size)]
+    table = np.stack(node_slots, axis=-1).T  # (S, M, ...), node-major as the system reads phases
+    table = np.concatenate([table.reshape(-1, *table.shape[2:]), np.zeros((graph.num_nodes, *table.shape[2:]))])
+    drift = np.add.reduceat(table[scatter], segments, axis=0).T - system.harmonic * np.sin(k * phases)
     return energy(phases), drift, energy(phases, geometry(state)[1])
 
 
@@ -687,6 +697,20 @@ def test_default_constants_flag():
     assert (a, a_s) == (10.0, 10.0) and not tabulated
 
 
+def test_pair_keys_past_numpy_integers_are_refused_before_allocation():
+    # N*N = 9.61e18 passes int64; the build must refuse N before np.arange(N)
+    # or any other per-node array, which would take 25 GB
+    graph = Hypergraph(3_100_000_000, ((1, 2),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="pass numpy's integers"):
+            make_system(graph, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_storage_is_linear_in_slots_and_nodes():
     # index arrays, not an (M*W, N) matrix: that would be 96 MB here
     system = make_system(generate_random_hypergraph(1000, 2000, 2, 4, seed=1), 3)
@@ -695,13 +719,12 @@ def test_storage_is_linear_in_slots_and_nodes():
 
 
 def test_energy_drift_batched_agree_with_single():
-    graph = generate_random_hypergraph(6, 10, 2, 4, seed=15)
-    system = make_system(graph, 3)
-    rng = np.random.default_rng(16)
-    batch = rng.uniform(0, 2 * np.pi, (4, 6))
-    energies = system.energy(batch)
-    drifts = system.drift(batch)
     # no sum crosses batch rows, so each row is its solo evaluation bit for bit
-    for row in range(4):
-        assert energies[row] == system.energy(batch[row])
-        assert np.array_equal(drifts[row], system.drift(batch[row]))
+    for n, m in [(6, 10), (10, 20), (200, 400), (1000, 2000)]:
+        system = make_system(generate_random_hypergraph(n, m, 2, 4, seed=15), 3)
+        batch = np.random.default_rng(16).uniform(0, 2 * np.pi, (4, n))
+        energies = system.energy(batch)
+        drifts = system.drift(batch)
+        for row in range(4):
+            assert energies[row] == system.energy(batch[row])
+            assert np.array_equal(drifts[row], system.drift(batch[row]))

@@ -215,7 +215,8 @@ def test_weights_are_the_exact_scaled_objective(k):
 
 
 # (K, N, M) past the dense cutoff: each takes the index form
-INDEX_SIZES = [(4, 300, 750), (5, 300, 200), (6, 300, 100), (7, 300, 60), (8, 320, 40)]
+INDEX_SIZES = [(2, 300, 600), (3, 300, 750), (4, 300, 750), (5, 300, 200), (6, 300, 100), (7, 300, 60),
+               (8, 320, 40)]
 
 
 @pytest.mark.parametrize("k, n, m", INDEX_SIZES)
@@ -247,12 +248,12 @@ def test_agrees_with_dense_alternating_form(k, n, m, batch):
 
 
 @pytest.mark.parametrize("k, n, m, dense", [
-    (2, 1000, 2500, True), (3, 1000, 2500, True),  # no orders >= 4: an empty pattern
+    (2, 1000, 2500, False), (3, 1000, 2500, False),  # no orders >= 4: no product step
     (4, 20, 50, True), (4, 200, 500, True), (4, 256, 640, True),
-    (4, 257, 640, False), (4, 300, 750, False), (4, 1000, 2500, False),
+    (4, 257, 640, False), (4, 300, 750, False), (4, 1000, 2500, False), (8, 290, 40, False),
 ])
 def test_dense_cutoff(k, n, m, dense):
-    # K = 4 keeps the pattern up to N = 256, where it is 1/64 full
+    # every width keeps J and the pattern up to N = DENSE_N = 256
     system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=3)[0])
     assert (system._pattern is not None) == dense
     assert hasattr(system, "_pairs") == dense  # the index form holds no N x N matrix
