@@ -12,6 +12,8 @@ from .instances import (
     CnfInstance,
     Hypergraph,
     InstanceError,
+    count_cut,
+    count_satisfied,
     format_dimacs,
     format_hypergraph,
     generate_planted_nae,
@@ -22,12 +24,11 @@ from .instances import (
 from .polynomial import (
     InteractionPolynomial,
     build_objective,
-    count_satisfied,
     evaluate,
     expand_clause,
 )
 from .naesat import NaeSystem, snap_to_spins
-from .hypercut import CutSystem, count_cut, snap_to_labels
+from .hypercut import CutSystem, snap_to_labels
 from .engine import AuditReport, SolveResult, SolverConfig, TraceRecord, lyapunov_audit, run
 from . import oracle
 

@@ -33,7 +33,8 @@ holds a contiguous block over the batch, and the leave-one-out product is
 an exclusive prefix pass over the W slot rows, then a suffix pass.  Slot
 (a, b) adds +g to edge position a and -g to b in an (S, M) node-slot table,
 summed by node as NAE's index form sums its (K, M) slot gains: one
-``reduceat`` over ``naesat._index_scatter``'s segments, O(M*W + N) storage.
+``reduceat`` over ``instances._index_scatter``'s segments, O(M*W + N) storage.
+The scorer ``count_cut`` lives in :mod:`instances` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Hypergraph
-from .naesat import _check_constants, _check_pair_keys, _index_scatter
+from .instances import Hypergraph, _check_constants, _check_pair_keys, _index_scatter, count_cut  # noqa: F401
 
 DEFAULT_SIGMA = 1e-3
 TWO_PI = 2.0 * np.pi
@@ -174,7 +174,8 @@ class CutSystem:
         """Edge indicators summed, plus the K-th-harmonic pinning term.
 
         Pass ``penalties`` (from :meth:`pair_penalties` at a reference
-        state) to evaluate the energy with f frozen.
+        state of the same shape as ``phases``) to evaluate the energy with f
+        frozen; any other shape raises ``ValueError``.
         """
         return self._evaluate(phases, drift=False, energy=True, penalties=penalties)[1]
 
@@ -190,11 +191,11 @@ class CutSystem:
         f for the energy and are not given with ``drift``."""
         phi = np.asarray(phases, dtype=float)
         if penalties is not None:
-            # batch axes broadcast from the right of the (..., N) and (..., P+1) shapes
             penalties = np.asarray(penalties, dtype=float)
-            lead = penalties.ndim - phi.ndim
-            phi = phi.reshape((1,) * lead + phi.shape)
-            penalties = penalties.reshape((1,) * -lead + penalties.shape).T
+            if penalties.shape != phi.shape[:-1] + self._pair_i.shape:
+                raise ValueError(f"penalties of shape {penalties.shape} do not match phases of shape "
+                                 f"{phi.shape}: expected {phi.shape[:-1] + self._pair_i.shape}")
+            penalties = penalties.T
         angles = self._pair_angles(phi.T, penalties)
         factors = np.take(0.5 * (1.0 + np.cos(angles)), self._slots, axis=0)  # (W, M, ...)
         out_drift = out_energy = None
@@ -226,23 +227,6 @@ class CutSystem:
             coupled = np.add.reduceat(np.take(buffer, self._scatter, axis=0), self._segments, axis=0)
             out_drift = coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
         return out_drift, out_energy
-
-
-def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:
-    """Number of hyperedges whose nodes span at least two labels.
-
-    ``labels`` may carry leading batch dimensions; the graph holds its edges as
-    an array, built once: ``graph.edge_nodes``."""
-    labels = np.asarray(labels)
-    # each position's labels against position 0's, one (..., M) array at a time;
-    # a pad position repeats position 0's node, so it never differs
-    first, *rest = graph.edge_nodes.T
-    head = labels[..., first]
-    differs = np.zeros(head.shape, dtype=bool)
-    for nodes in rest:
-        differs |= labels[..., nodes] != head
-    cut = differs.sum(axis=-1)
-    return int(cut) if cut.ndim == 0 else cut
 
 
 def snap_to_labels(phases, k: int) -> np.ndarray:

@@ -17,6 +17,9 @@ Text formats:
 Both parsers enforce the invariants the solver relies on: uniform clause
 width K >= 2, no repeated variable inside a clause, edges of size >= 2,
 indices within range.
+
+It also holds what both systems share: the width cap, the build checks, the
+scatter index, and one not-all-equal count behind both scorers.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+MAX_CLAUSE_WIDTH = 8  # term count per clause grows combinatorially past this
 
 
 class InstanceError(ValueError):
@@ -127,6 +132,71 @@ class Hypergraph:
         nodes = np.array([e + (e[0],) * (width - len(e)) for e in self.hyperedges], dtype=np.intp) - 1
         nodes.flags.writeable = False
         return nodes
+
+
+def check_clause_width(k: int) -> None:
+    """Reject clause widths past ``MAX_CLAUSE_WIDTH`` (2^(K-1) - 1 terms per clause)."""
+    if k > MAX_CLAUSE_WIDTH:
+        raise ValueError(f"clause width {k} exceeds supported maximum {MAX_CLAUSE_WIDTH}")
+
+
+def count_satisfied(instance: CnfInstance, spins) -> int | np.ndarray:
+    """Number of clauses whose literal values sign_i * s_i are not all equal
+    (x_i = 1 is s_i = +1).  ``spins`` may carry leading batch dimensions; the
+    count then has the batch shape."""
+    variables, signs = instance.clause_arrays
+    spins = np.asarray(spins)
+    return _count_mixed(signs[:, p] * spins[..., variables[:, p]] for p in range(instance.k))
+
+
+def count_cut(graph: Hypergraph, labels) -> int | np.ndarray:
+    """Number of hyperedges whose nodes span at least two labels, batched as
+    in :func:`count_satisfied`; a pad position repeats its edge's first node."""
+    labels = np.asarray(labels)
+    return _count_mixed(labels[..., nodes] for nodes in graph.edge_nodes.T)
+
+
+def _count_mixed(columns) -> int | np.ndarray:
+    """Rows not all equal across the (..., M) arrays the iterator ``columns``
+    yields, one per position, each compared with the first, then dropped."""
+    first = next(columns)
+    differs = np.zeros(first.shape, dtype=bool)
+    for column in columns:
+        differs |= column != first
+        del column  # else it lives on while the next is built: 1000/2500 read 20% slower
+    mixed = differs.sum(axis=-1)
+    return int(mixed) if mixed.ndim == 0 else mixed
+
+
+def _check_constants(system, terms: int, bound: str) -> None:
+    """Refuse a coupling that is not positive and finite, a harmonic strength
+    that is negative or not finite, and constants whose energy bound
+    ``coupling * terms + harmonic * num_spins`` overflows float: every energy
+    and drift magnitude stays below it.  ``bound`` is the formula's text for
+    the message."""
+    if not (np.isfinite(system.coupling) and system.coupling > 0):
+        raise ValueError("coupling must be positive and finite")
+    if not (np.isfinite(system.harmonic) and system.harmonic >= 0):
+        raise ValueError("harmonic strength must be non-negative and finite")
+    if not np.isfinite(float(system.coupling) * terms + float(system.harmonic) * system.num_spins):
+        raise ValueError(f"coupling {system.coupling} and harmonic strength {system.harmonic} are too large: "
+                         f"the energy bound {bound} overflows float")
+
+
+def _check_pair_keys(n: int) -> None:
+    """Refuse N spins whose pair keys i*N + j, up to N*N, pass numpy's integers."""
+    if n * n > np.iinfo(np.intp).max:
+        raise OverflowError(f"{n} spins: the pair keys, up to N*N, pass numpy's integers")
+
+
+def _index_scatter(keys, n: int):
+    """Index form of a scatter-add into n variables: item e goes to variable
+    ``keys[e]``, then item len(keys) + v, a zero, to variable v, so no run is
+    empty.  Returns the items sorted stably by variable and each run's start."""
+    keys = np.concatenate([keys, np.arange(n)])
+    counts = np.bincount(keys, minlength=n)
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
+    return order, np.cumsum(counts) - counts
 
 
 def _tokenize(text: str, expect_format: str):

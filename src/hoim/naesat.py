@@ -40,7 +40,7 @@ exact negative gradient, so the energy is a Lyapunov function of the flow.
 
 A :class:`NaeSystem` holds the CNF instance it was built from and builds
 its couplings once, on construction; ``engine.run`` scores against that
-instance only.
+instance only.  Helpers shared with the cut come from :mod:`instances`.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ from math import prod
 
 import numpy as np
 
-from .instances import CnfInstance
-# re-exported: the benchmark tracer (perfbench/tracing.py) wraps naesat.build_objective
-from .polynomial import build_objective  # noqa: F401
-from .polynomial import check_clause_width
+from .instances import CnfInstance, _check_constants, _check_pair_keys, _index_scatter, check_clause_width
+from .polynomial import build_objective  # noqa: F401  (perfbench/tracing.py wraps naesat.build_objective)
 
 
 # The dense form (J and the (N, T) pattern) is kept up to N = DENSE_N variables at
@@ -249,37 +247,6 @@ class NaeSystem:
                 g += _add_rows(np.take(z[1:].reshape(2 * terms, *z.shape[2:]), members, axis=0), axis=1)
         coupled = np.add.reduceat(np.take(buffer, self._scatter, axis=0), self._segments, axis=0).T if drift else None
         return coupled, np.add.reduceat(clauses, [0], axis=0)[0].T if energy else None
-
-
-def _check_constants(system, terms: int, bound: str) -> None:
-    """Refuse a coupling that is not positive and finite, a harmonic strength
-    that is negative or not finite, and constants whose energy bound
-    ``coupling * terms + harmonic * num_spins`` overflows float: every energy
-    and drift magnitude stays below it.  ``bound`` is the formula's text for
-    the message."""
-    if not (np.isfinite(system.coupling) and system.coupling > 0):
-        raise ValueError("coupling must be positive and finite")
-    if not (np.isfinite(system.harmonic) and system.harmonic >= 0):
-        raise ValueError("harmonic strength must be non-negative and finite")
-    if not np.isfinite(float(system.coupling) * terms + float(system.harmonic) * system.num_spins):
-        raise ValueError(f"coupling {system.coupling} and harmonic strength {system.harmonic} are too large: "
-                         f"the energy bound {bound} overflows float")
-
-
-def _check_pair_keys(n: int) -> None:
-    """Refuse N spins whose pair keys i*N + j, up to N*N, pass numpy's integers."""
-    if n * n > np.iinfo(np.intp).max:
-        raise OverflowError(f"{n} spins: the pair keys, up to N*N, pass numpy's integers")
-
-
-def _index_scatter(keys, n: int):
-    """Index form of a scatter-add into n variables: item e goes to variable
-    ``keys[e]``, then item len(keys) + v, a zero, to variable v, so no run is
-    empty.  Returns the items sorted stably by variable and each run's start."""
-    keys = np.concatenate([keys, np.arange(n)])
-    counts = np.bincount(keys, minlength=n)
-    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")  # radix sort to N = 65535
-    return order, np.cumsum(counts) - counts
 
 
 def _term_tables(positions, k: int):

@@ -13,7 +13,8 @@ coefficients are dyadic rationals of magnitude 2^-(K-1); they are kept as
 exact :class:`fractions.Fraction` values so that indicator and objective
 identities hold with zero tolerance.  Summing h over clauses yields an
 objective whose value at any spin assignment equals the number of
-unsatisfied clauses.
+unsatisfied clauses.  The solver does not call this exact reference; its
+scorer ``count_satisfied`` lives in :mod:`instances` (re-exported here).
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from .instances import CnfInstance
-
-MAX_CLAUSE_WIDTH = 8  # term count per clause grows combinatorially past this
+from .instances import CnfInstance, check_clause_width, count_satisfied  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,6 @@ def expand_clause(literals) -> InteractionPolynomial:
     return make_polynomial(entries, constant=unit)
 
 
-def check_clause_width(k: int) -> None:
-    """Reject clause widths past ``MAX_CLAUSE_WIDTH`` (2^(K-1) - 1 terms per clause)."""
-    if k > MAX_CLAUSE_WIDTH:
-        raise ValueError(f"clause width {k} exceeds supported maximum {MAX_CLAUSE_WIDTH}")
-
-
 def build_objective(instance: CnfInstance) -> InteractionPolynomial:
     """Sum of per-clause indicators; its value at any assignment is the
     number of unsatisfied clauses, so minimizing it maximizes satisfaction."""
@@ -137,23 +128,6 @@ def evaluate(poly: InteractionPolynomial, spins) -> Fraction:
             prod *= s[v - 1]
         total += coeff * prod
     return total
-
-
-def count_satisfied(instance: CnfInstance, spins) -> int | np.ndarray:
-    """Number of NAE-satisfied clauses under a spin assignment.
-
-    A clause is satisfied when its literal values sign_i * s_i are not all
-    equal (x_i = 1 corresponds to s_i = +1), read from ``instance.clause_arrays``.
-    ``spins`` may carry leading batch dimensions; the count then has the batch shape."""
-    variables, signs = instance.clause_arrays
-    spins = np.asarray(spins)
-    # each position's literal values against position 0's, one (..., M) array at a time
-    first = signs[:, 0] * spins[..., variables[:, 0]]
-    differs = np.zeros(first.shape, dtype=bool)
-    for position in range(1, instance.k):
-        differs |= signs[:, position] * spins[..., variables[:, position]] != first
-    satisfied = differs.sum(axis=-1)
-    return int(satisfied) if satisfied.ndim == 0 else satisfied
 
 
 def _normalize_literals(literals) -> list[tuple[int, int]]:

@@ -1,6 +1,8 @@
+import types
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +313,19 @@ def test_run_rejects_a_system_of_another_kind():
     inst = nae_setup()[0]
     with pytest.raises(TypeError, match="unsupported system type Holder"):
         run(Holder(inst), SolverConfig(steps=10, restarts=1), inst)
+
+
+def test_benchmark_tracer_hooks_exist():
+    # perfbench/tracing.py wraps each target it names through owner.__dict__[attr],
+    # so a renamed or dropped module attribute would fail only a traced benchmark
+    # run; the tracer source is compiled here without importing it as a package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    assert tracing._TARGETS
+    for owner, attr, layer in tracing._TARGETS:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr} ({layer})"
+        assert layer in tracing.LAYERS
 
 
 def test_run_deterministic_and_trace_monotone():

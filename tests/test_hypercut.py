@@ -18,8 +18,8 @@ from hoim.hypercut import (
     snap_to_labels,
     wrap_angle,
 )
-from hoim.instances import CnfInstance, Hypergraph, generate_random_hypergraph
-from hoim.naesat import NaeSystem, _index_scatter, snap_to_spins
+from hoim.instances import CnfInstance, Hypergraph, _index_scatter, generate_random_hypergraph
+from hoim.naesat import NaeSystem, snap_to_spins
 from hoim.oracle import finite_diff_gradient
 from hoim.polynomial import count_satisfied
 
@@ -664,10 +664,10 @@ def test_phase_penalty_rejects_fewer_than_2_partitions():
         phase_penalty(np.array([0.0, np.pi]), 1, SIGMA)
 
 
-def test_frozen_penalties_of_one_state_broadcast_over_a_batch():
+def test_frozen_penalties_take_the_phases_own_shape():
     # P + 1 = 5 pairs (pad included) and R = 5 restarts: penalties of shape
-    # (P+1,) applied along the restart axis would raise no error, only give
-    # wrong numbers, so each row is held to its solo evaluation
+    # (P+1,) against a (5, 4) batch could broadcast along the restart axis and
+    # give wrong numbers, so only the phases' own (..., P+1) shape is accepted
     graph = Hypergraph(4, ((1, 2, 3), (2, 4)))
     system = make_system(graph, 3)
     state = label_state([0, 1, 2, 0], 3) + SIGMA * np.array([0.9, -1.1, 1.0, -0.8])
@@ -675,18 +675,22 @@ def test_frozen_penalties_of_one_state_broadcast_over_a_batch():
     assert penalties.shape == (5,)
     assert np.max(np.abs(penalties)) > 0.5  # the pairs sit on their bumps
     batch = state + SIGMA * np.random.default_rng(22).normal(size=(5, 4))
-    energies = system.energy(batch, penalties=penalties)
-    assert energies.shape == (5,)
-    for row in range(5):
-        assert energies[row] == system.energy(batch[row], penalties=penalties)
     batch_penalties = system.pair_penalties(batch)
     assert batch_penalties.shape == batch.shape[:-1] + (5,)
     stacked = np.stack([batch, batch[::-1]])
     assert system.pair_penalties(stacked).shape == stacked.shape[:-1] + (5,)
-    # a batch of penalties over one state broadcasts the other way
-    energies = system.energy(state, penalties=batch_penalties)
+    # matched batches: each row equals its solo evaluation
+    solo = np.array([system.energy(row, penalties=system.pair_penalties(row)) for row in batch])
+    energies = system.energy(batch, penalties=batch_penalties)
+    assert energies.shape == (5,)
     for row in range(5):
-        assert energies[row] == system.energy(state, penalties=batch_penalties[row])
+        assert energies[row] == solo[row]
+    assert np.array_equal(system.energy(stacked, penalties=system.pair_penalties(stacked)), [solo, solo[::-1]])
+    # any other shape raises, whichever side has the extra axes
+    for phases, frozen in ((batch, penalties), (state, batch_penalties), (stacked, batch_penalties),
+                           (batch, batch_penalties[:, :4]), (state, penalties[None])):
+        with pytest.raises(ValueError, match="penalties of shape"):
+            system.energy(phases, penalties=frozen)
 
 
 def test_default_constants_flag():

@@ -6,6 +6,8 @@ from hoim.instances import (
     CnfInstance,
     Hypergraph,
     InstanceError,
+    count_cut,
+    count_satisfied,
     format_dimacs,
     format_hypergraph,
     generate_planted_nae,
@@ -13,7 +15,6 @@ from hoim.instances import (
     parse_dimacs,
     parse_hypergraph,
 )
-from hoim.polynomial import count_satisfied
 
 
 def test_parse_dimacs_basic():
@@ -172,6 +173,21 @@ def test_planted_instance_is_satisfied_by_plant():
 def test_planted_single_clause_not_all_equal():
     inst, plant = generate_planted_nae(4, 1, 4, seed=5)
     assert count_satisfied(inst, plant) == 1
+
+
+def test_positive_cnf_scores_as_its_hypergraph_cut():
+    # with every literal positive, a clause is satisfied exactly when its
+    # hyperedge is cut under labels (1 - s) / 2: one scorer, two entry points
+    graph = generate_random_hypergraph(9, 20, 3, 3, seed=4)
+    inst = CnfInstance(graph.num_nodes, graph.hyperedges)
+    spins = np.random.default_rng(8).choice([-1, 1], size=(2, 3, graph.num_nodes))
+    satisfied = count_satisfied(inst, spins)
+    assert satisfied.shape == (2, 3)
+    assert np.array_equal(satisfied, count_cut(graph, (1 - spins) // 2))
+    assert 0 < satisfied.min() and satisfied.max() < 20  # neither count is trivial here
+    for row in spins.reshape(-1, graph.num_nodes):
+        single, cut = count_satisfied(inst, row), count_cut(graph, (1 - row) // 2)
+        assert type(single) is int and type(cut) is int and single == cut
 
 
 def test_generators_deterministic():
