@@ -31,15 +31,17 @@ node 1 with itself: d = 0 and f(0) = 0 give factor 1 and gain 0 exactly.
 Evaluation is node-major (phases read as phi.T): each pair row and slot row
 holds a contiguous block over the batch, and the leave-one-out product is
 an exclusive prefix pass over the W slot rows, then a suffix pass.  Slot
-(a, b) adds +g to edge position a and -g to b in an (S, M) node-slot table,
-summed by node as NAE's index form sums its (K, M) slot gains: one
-``reduceat`` over ``instances._index_scatter``'s segments, O(M*W + N) storage.
+(a, b) adds its gain g in place to row a of an (S, M) node-slot table and
+subtracts it from row b, every +g before any -g, and the table is summed by
+node as NAE's index form sums its (K, M) slot gains: one ``reduceat`` over
+``instances._index_scatter``'s segments, O(M*W + N) storage.
 The scorer ``count_cut`` lives in :mod:`instances` and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -87,9 +89,10 @@ class CutSystem:
     key order (``_pair_i``, ``_pair_j``, shape (P+1,)) and gives each of the
     W x M edge slots its pair id (``_slots``, one row per slot position);
     pad slots take id 0.  Evaluation reads phases node-major, as phi.T.
-    ``_members`` (S, S - 1) holds each position's rows of [g, -g], and
-    ``_scatter`` and ``_segments`` add the (S, M) node-slot table up by node
-    as ``edge_nodes.T``; a pad position adds +-0 to its edge's first node."""
+    ``_ends`` holds the slots' two edge positions (a, b), as two lists in slot
+    order, and ``_scatter`` and ``_segments`` add the (S, M) node-slot table
+    up by node as ``edge_nodes.T``; a pad position adds +-0 to its edge's
+    first node."""
 
     instance: Hypergraph
     k_partitions: int
@@ -111,8 +114,7 @@ class CutSystem:
         # slot (a, b), a < b in lexicographic order, keys its node pair i*N + j; past
         # the edge's size, position b repeats the first node and the slot keys 0, the pad
         nodes, n = self.instance.edge_nodes, self.instance.num_nodes
-        positions = np.arange(nodes.shape[1])
-        a, b = np.nonzero(positions[:, None] < positions)
+        a, b = map(list, zip(*combinations(range(nodes.shape[1]), 2)))
         second = nodes[:, b]
         pair_keys = np.where(second == nodes[:, :1], 0, nodes[:, a] * n + second)
         _check_constants(self, pair_keys.size, "A*M*W + A_s*N")  # pair_keys holds the M*W slots
@@ -123,9 +125,7 @@ class CutSystem:
         object.__setattr__(self, "_pair_j", pair_j)
         # stored (W, M): one contiguous row per slot position for the node-major gathers
         object.__setattr__(self, "_slots", slots[1:].reshape(pair_keys.shape).T.copy())
-        # position p's rows of [g, -g]: +g of each slot (p, b), then -g of each slot (a, p)
-        members = np.argsort(np.concatenate([a, b]), kind="stable").reshape(len(positions), -1)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_ends", (a, b))
         object.__setattr__(self, "_scatter", scatter)
         object.__setattr__(self, "_segments", segments)
 
@@ -149,14 +149,6 @@ class CutSystem:
         """Wrapped differences d = wrap(phi_i - phi_j) per pair, node-major:
         ``phi`` is (N, ...), as phases.T, and the result (P+1, ...)."""
         return wrap_angle(np.take(phi, self._pair_i, axis=0) - np.take(phi, self._pair_j, axis=0))
-
-    def _pair_angles(self, phi, penalties=None):
-        """d + f(d) per pair, node-major: ``phi`` (N, ...), ``penalties`` and
-        the result (P+1, ...); take rows ``_slots`` to reach the edge slots."""
-        deltas = self._pair_deltas(phi)
-        if penalties is None:
-            penalties = phase_penalty(deltas, self.k_partitions, self.sigma)
-        return deltas + penalties
 
     def pair_penalties(self, phases) -> np.ndarray:
         """Penalty values f(d_ij) per pair, pad included, shape (..., P+1),
@@ -196,7 +188,9 @@ class CutSystem:
                 raise ValueError(f"penalties of shape {penalties.shape} do not match phases of shape "
                                  f"{phi.shape}: expected {phi.shape[:-1] + self._pair_i.shape}")
             penalties = penalties.T
-        angles = self._pair_angles(phi.T, penalties)
+        deltas = self._pair_deltas(phi.T)
+        # d + f(d) per pair, (P+1, ...); take rows ``_slots`` to reach the edge slots
+        angles = deltas + (phase_penalty(deltas, self.k_partitions, self.sigma) if penalties is None else penalties)
         factors = np.take(0.5 * (1.0 + np.cos(angles)), self._slots, axis=0)  # (W, M, ...)
         out_drift = out_energy = None
         if energy:
@@ -206,9 +200,8 @@ class CutSystem:
             if out_energy.ndim == 0:
                 out_energy = float(out_energy)
         if drift:
-            (w, m), batch, size = self._slots.shape, angles.shape[1:], len(self._members)
-            signed = np.empty((2 * w, m, *batch))  # [g, -g]; take writes out= unbuffered in mode "clip"
-            gain = np.take(0.5 * self.coupling * np.sin(angles), self._slots, axis=0, out=signed[:w], mode="clip")
+            (w, m), batch, size = self._slots.shape, angles.shape[1:], self.instance.edge_nodes.shape[1]
+            gain = np.take(0.5 * self.coupling * np.sin(angles), self._slots, axis=0)
             # times the product of the edge's other pair factors: an exclusive prefix
             # pass over the W slot rows, then a suffix pass, multiplying as cumprod does
             for rows in (range(w), range(w - 1, -1, -1)):
@@ -217,13 +210,15 @@ class CutSystem:
                     gain[s] *= run
                     if s != rows[-1]:
                         run = run * factors[s]
-            np.negative(gain, out=signed[w:])
-            # the (S, M, ...) node-slot table, one members column at a time (one gather of them
-            # all read about 2x slower at 200/400), then N zero rows: no node's segment is empty
+            # the (S, M, ...) node-slot table, a view per edge position, then N zero rows:
+            # no node's segment is empty.  Every +g before any -g: one pass rounds otherwise
             buffer = np.zeros((size * m + self.num_spins, *batch))
-            table = buffer[:size * m].reshape(size, m, *batch)
-            for column in self._members.T:
-                table += np.take(signed, column, axis=0)
+            table = list(buffer[:size * m].reshape(size, m, *batch))
+            first, second = self._ends
+            for g, a in zip(gain, first):
+                table[a] += g
+            for g, b in zip(gain, second):
+                table[b] -= g
             coupled = np.add.reduceat(np.take(buffer, self._scatter, axis=0), self._segments, axis=0)
             out_drift = coupled.T - self.harmonic * np.sin(self.k_partitions * phi)
         return out_drift, out_energy

@@ -96,9 +96,9 @@ class NaeSystem:
     order-2 terms summed into the matrix ``_pairs`` (J), the orders >= 4
     unmerged as ``_tuples`` (one ascending (T_r, r) array per order, in clause
     order) with ``_weights`` (+-1 each), and their ``_pattern``.  The index
-    form (``_pattern`` is None) stores the (K, M) clause-slot tables
-    ``_slots`` (variables) and ``_signs``, with each slot's row of the signed
-    phasor table (``_rows``), one clause's order >= 4 terms as index tables
+    form (``_pattern`` is None) stores the (K, M) clause-slot table ``_rows``,
+    each slot's row of the signed phasor table: its variable, plus N where the
+    literal is negated.  It stores one clause's order >= 4 terms as index tables
     (``_terms``, see :func:`_term_tables`), and ``_scatter`` and
     ``_segments``, which add the slot gains up by variable.  The clause
     count supplies the +1-per-clause energy offset.
@@ -120,10 +120,8 @@ class NaeSystem:
         positions = [np.array(list(combinations(range(k), r))) for r in range(2, k + 1, 2)]
         if n > DENSE_N:
             object.__setattr__(self, "_pattern", None)
-            object.__setattr__(self, "_slots", variables.T.copy())
-            object.__setattr__(self, "_signs", signs.T.copy())
-            # each slot's row of the phasor table [w, -w]: a negated literal reads -w
-            object.__setattr__(self, "_rows", self._slots + n * (self._signs < 0))
+            # each (K, M) clause slot's row of the phasor table [w, -w]: a negated literal reads -w
+            object.__setattr__(self, "_rows", (variables + n * (signs < 0)).T.copy())
             object.__setattr__(self, "_terms", _term_tables(positions[1:], k))
             scatter, segments = _index_scatter(variables.T.ravel(), n)
             object.__setattr__(self, "_scatter", scatter)
@@ -210,7 +208,7 @@ class NaeSystem:
         (real, imaginary) pairs: numpy's complex products can round otherwise
         at one array shape than at another.  The clauses go in blocks (see
         ``_BLOCK``); the slot gains then add up by variable."""
-        n, (k, m), batch = len(c), self._slots.shape, c.shape[1:]
+        n, (k, m), batch = len(c), self._rows.shape, c.shape[1:]
         table = np.empty((2, 2 * n, *batch))  # (real, imaginary) parts of [w, -w]
         table[0, :n], table[1, :n] = c, s
         np.negative(table[:, :n], out=table[:, n:])

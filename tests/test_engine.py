@@ -315,17 +315,44 @@ def test_run_rejects_a_system_of_another_kind():
         run(Holder(inst), SolverConfig(steps=10, restarts=1), inst)
 
 
-def test_benchmark_tracer_hooks_exist():
-    # perfbench/tracing.py wraps each target it names through owner.__dict__[attr],
-    # so a renamed or dropped module attribute would fail only a traced benchmark
-    # run; the tracer source is compiled here without importing it as a package
+def benchmark_tracer():
+    """perfbench/tracing.py, compiled without importing it as a package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tracing = types.ModuleType("tracing")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    return tracing
+
+
+def test_benchmark_tracer_hooks_exist():
+    # perfbench/tracing.py wraps each target it names through owner.__dict__[attr],
+    # so a renamed or dropped module attribute would fail only a traced benchmark run
+    tracing = benchmark_tracer()
     assert tracing._TARGETS
     for owner, attr, layer in tracing._TARGETS:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} ({layer})"
         assert layer in tracing.LAYERS
+
+
+def test_benchmark_tracer_sees_each_solve_layer():
+    # a hook that still exists but is bypassed, say called through a local alias,
+    # records no span: only a traced benchmark run would show its layer at zero.
+    # polynomial.build_objective is left out: NaeSystem builds its terms from
+    # clause_arrays and never calls it, so that hook records nothing by design
+    tracing = benchmark_tracer()
+    tracer = tracing.Tracer()
+    config = SolverConfig(steps=3, restarts=2)
+    with tracer.patched():
+        inst = generate_planted_nae(10, 20, 4, seed=1)[0]
+        engine.run(NaeSystem.from_instance(inst), config, inst)
+        graph = generate_random_hypergraph(8, 12, 2, 4, seed=1)
+        engine.run(CutSystem.from_hypergraph(graph, 3), config, graph)
+    seen = {name for _, _, name, *_ in tracer.spans}
+    for system in ("naesat", "hypercut"):
+        for layer in ("build", "drift", "energy", "snap"):
+            assert f"{system}.{layer}" in seen
+    for layer in ("polynomial.count_satisfied", "hypercut.count_cut", "hypercut.phase_penalty", "engine.run"):
+        assert layer in seen
+    assert seen <= set(tracing.LAYERS) - {"polynomial.build_objective"}
 
 
 def test_run_deterministic_and_trace_monotone():

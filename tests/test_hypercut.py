@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hoim.hypercut import (
@@ -123,7 +123,8 @@ def make_system(graph, k, sigma=SIGMA, coupling=None, harmonic=None):
 def slot_factors_and_gains(system, phi):
     """Pair factors and drift gains (A/2) sin(d + f) at the edge slots,
     node-major: (W, M, ...) for phases of shape (..., N)."""
-    angles = system._pair_angles(np.asarray(phi).T)
+    deltas = system._pair_deltas(np.asarray(phi).T)
+    angles = deltas + phase_penalty(deltas, system.k_partitions, system.sigma)
     factors = 0.5 * (1.0 + np.cos(angles))
     gains = 0.5 * system.coupling * np.sin(angles)
     return factors[system._slots], gains[system._slots]
@@ -140,13 +141,14 @@ def assert_pads_exact(system, num_pairs, num_pads):
     # a pad position, past its edge's size, reads only pad slots, so it adds
     # +-0, and it adds it to its edge's first node; the scatter numbers the
     # node slots position-major, item p*M + m
-    nodes, (w, m) = system.instance.edge_nodes, pad.shape
+    nodes, m = system.instance.edge_nodes, pad.shape[1]
     sizes = np.array([len(e) for e in system.instance.hyperedges])
     counts = np.diff(np.r_[system._segments, len(system._scatter)])
     receiver = np.empty_like(system._scatter)
     receiver[system._scatter] = np.repeat(np.arange(system.num_spins), counts)
+    slots = list(combinations(range(nodes.shape[1]), 2))
     for p, edge in zip(*np.nonzero(np.arange(nodes.shape[1])[:, None] >= sizes)):
-        assert pad[system._members[p] % w, edge].all()
+        assert pad[[s for s, pair in enumerate(slots) if p in pair], edge].all()
         assert receiver[p * m + edge] == nodes[edge, 0]
 
 
@@ -250,8 +252,20 @@ def overlapping_cut_batches(draw):
     return make_system(Hypergraph(n, tuple(edges)), k), phases, state
 
 
+def fixed_cut_batch(edges, k, shape, seed):
+    """A cut system on ``edges`` with phases and a state to freeze f at, both
+    uniform in [0, 2*pi] of shape (*shape, N)."""
+    n = max(map(max, edges))
+    phases, state = np.random.default_rng(seed).uniform(0, 2 * np.pi, (2, *shape, n))
+    return make_system(Hypergraph(n, edges), k), phases, state
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(overlapping_cut_batches())
+# past the strategy's 5-node cap: every edge of 2 nodes (W = 1, so each in-place
+# pass adds one slot row), and one 8-node edge among 2- and 3-node edges (S = 8, W = 28)
+@example(fixed_cut_batch(((1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 2)), 3, (3,), 1))
+@example(fixed_cut_batch(((1, 2), (2, 3, 4), (1, 2, 3, 4, 5, 6, 7, 8), (5, 9), (3, 7, 9), (8, 10)), 4, (2, 3), 2))
 def test_distinct_pairs_match_padded_reference(problem):
     system, phases, state = problem
     distinct = {pair for e in system.instance.hyperedges for pair in combinations(e, 2)}

@@ -183,15 +183,16 @@ def assert_exact_scaled_objective(system):
 
 
 def assert_exact_clause_tables(system):
-    """The index form holds no N x N matrix: its (K, M) slot and sign tables
-    are ``clause_arrays`` transposed, its terms, read as position pairs, are
-    every ascending r-subset of the K positions, r = 4, 6, ... in turn, each
-    slot lists the terms that read it, by position parity, and the energy at
-    lattice states is C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N."""
+    """The index form holds no N x N matrix: its (K, M) slot rows are the
+    ``clause_arrays`` variables transposed, plus N where the literal is
+    negated, its terms, read as position pairs, are every ascending r-subset
+    of the K positions, r = 4, 6, ... in turn, each slot lists the terms that
+    read it, by position parity, and the energy at lattice states is
+    C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N."""
     inst = system.instance
     variables, signs = inst.clause_arrays
     assert not hasattr(system, "_pairs")
-    assert np.array_equal(system._slots, variables.T) and np.array_equal(system._signs, signs.T)
+    assert np.array_equal(system._rows, variables.T + inst.num_vars * (signs.T < 0))
     expected = [t for r in range(4, inst.k + 1, 2) for t in combinations(range(inst.k), r)]
     pairs, orders, members = system._terms
     terms = []
