@@ -4,9 +4,10 @@ Text formats:
 
 * DIMACS CNF.  Comment lines start with ``c``, the header is
   ``p cnf <num_vars> <num_clauses>``, and each clause is a run of
-  space-separated signed variable indices terminated by ``0`` (clauses may
-  span lines).  A line starting with the token ``%`` ends the data, so the
-  SATLIB trailer (``%`` then ``0``) is accepted.  NAE semantics are an
+  whitespace-separated signed variable indices terminated by ``0`` (clauses
+  may span lines).  Every data token is an ASCII signed decimal integer,
+  ``[+-]?[0-9]+``.  A line starting with the token ``%`` ends the data, so
+  the SATLIB trailer (``%`` then ``0``) is accepted.  NAE semantics are an
   interpretation applied by the solver, so any standard SAT tooling can
   produce inputs.
 
@@ -14,9 +15,13 @@ Text formats:
   <num_edges>``; each edge is a run of positive node indices terminated by
   ``0``.
 
-Both parsers enforce the invariants the solver relies on: uniform clause
-width K >= 2, no repeated variable inside a clause, edges of size >= 2,
-indices within range.
+A parser reads its text in array passes: the lines are classified one by
+one, then every data token is checked and converted at once, and the groups
+are cut at the zeros' positions.  The constructors enforce the invariants
+the solver relies on (uniform clause width K >= 2, no repeated variable
+inside a clause, edges of size >= 2, indices within range) in one array pass
+each, and keep the arrays it builds as ``CnfInstance.clause_arrays`` and
+``Hypergraph.edge_nodes``; nothing rebuilds them later.
 
 It also holds what both systems share: the width cap, the build checks, the
 scatter index, and one not-all-equal count behind both scorers.
@@ -25,7 +30,7 @@ scatter index, and one not-all-equal count behind both scorers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,34 +46,52 @@ class CnfInstance:
     """A CNF formula with uniform clause width K.
 
     Clauses are tuples of nonzero signed literals (DIMACS style): literal
-    ``v`` is variable v in normal form, ``-v`` negated.
+    ``v`` is variable v in normal form, ``-v`` negated.  The constructor
+    checks every clause in one array pass and keeps that pass's arrays as
+    :attr:`clause_arrays`.
     """
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
+        clauses = tuple(map(tuple, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 1:
             raise InstanceError("num_vars must be positive")
-        if not self.clauses:
+        if not clauses:
             raise InstanceError("instance has no clauses")
-        k = len(self.clauses[0])
-        for idx, clause in enumerate(self.clauses):
-            if len(clause) != k:
-                raise InstanceError(
-                    f"clause {idx + 1} has {len(clause)} literals, expected uniform K={k}"
-                )
-            if len(clause) < 2:
-                raise InstanceError(f"clause {idx + 1} has fewer than 2 literals")
-            seen = set()
-            for lit in clause:
-                v = abs(lit)
-                if lit == 0 or v > self.num_vars:
-                    raise InstanceError(f"clause {idx + 1}: literal {lit} out of range 1..{self.num_vars}")
-                if v in seen:
-                    raise InstanceError(f"clause {idx + 1}: variable {v} repeated")
-                seen.add(v)
+        widths = np.fromiter(map(len, clauses), np.intp, len(clauses))
+        k = int(widths[0])
+        if k < 2:
+            raise InstanceError("clause 1 has fewer than 2 literals")
+        # the clauses before the first one of another width are checked first
+        uneven = np.flatnonzero(widths != k)
+        m = int(uneven[0]) if uneven.size else len(clauses)
+        literals = _flat(clauses[:m], m * k).reshape(m, k)
+        variables = np.abs(literals)
+        # a stable sort by variable puts each repeat after its first occurrence
+        order = np.argsort(variables, axis=1, kind="stable")
+        ascending = np.take_along_axis(variables, order, axis=1)
+        repeated = np.zeros(literals.shape, bool)
+        np.put_along_axis(repeated, order[:, 1:], ascending[:, 1:] == ascending[:, :-1], axis=1)
+        outside = (literals == 0) | (literals > self.num_vars) | (literals < -self.num_vars)  # abs wraps at int64's min
+        faults = outside | repeated
+        if faults.any():
+            idx = int(faults.any(axis=1).argmax())
+            pos = int(faults[idx].argmax())
+            lit = clauses[idx][pos]
+            if outside[idx, pos]:
+                raise InstanceError(f"clause {idx + 1}: literal {lit} out of range 1..{self.num_vars}")
+            raise InstanceError(f"clause {idx + 1}: variable {abs(lit)} repeated")
+        if uneven.size:
+            raise InstanceError(f"clause {m + 1} has {widths[m]} literals, expected uniform K={k}")
+        # one block for both: two separate (M, K) arrays made here, before any solve, left
+        # nae-large's step loop (1000/2500, 20 restarts) faulting 4.4k-5.9k fresh pages per
+        # solve, against 1.5k-2k
+        arrays = np.stack([ascending - 1, np.sign(np.take_along_axis(literals, order, axis=1))])
+        arrays.flags.writeable = False
+        object.__setattr__(self, "_clause_arrays", tuple(arrays))
 
     @property
     def k(self) -> int:
@@ -79,15 +102,11 @@ class CnfInstance:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    @cached_property
+    @property
     def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only zero-based variable indices and literal signs of every clause,
         each (M, K); each row is sorted by variable, every sign kept with its variable."""
-        literals = np.array(self.clauses)
-        literals = np.take_along_axis(literals, np.argsort(np.abs(literals), axis=1), axis=1)
-        variables, signs = np.abs(literals) - 1, np.sign(literals)
-        variables.flags.writeable = signs.flags.writeable = False
-        return variables, signs
+        return self._clause_arrays
 
 
 @dataclass(frozen=True)
@@ -95,26 +114,47 @@ class Hypergraph:
     """A hypergraph; edges stored as sorted tuples of 1-based node indices.
 
     The constructor sorts each edge, so graphs with the same edges in any
-    node order compare equal and ``format_hypergraph`` round-trips.
+    node order compare equal and ``format_hypergraph`` round-trips.  It
+    checks every edge in one array pass and keeps that pass's sorted rows as
+    :attr:`edge_nodes`.
     """
 
     num_nodes: int
     hyperedges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hyperedges", tuple(tuple(sorted(e)) for e in self.hyperedges))
+        edges = tuple(map(tuple, self.hyperedges))
         if self.num_nodes < 1:
             raise InstanceError("num_nodes must be positive")
-        if not self.hyperedges:
+        if not edges:
             raise InstanceError("hypergraph has no hyperedges")
-        for idx, edge in enumerate(self.hyperedges):
-            if len(edge) < 2:
+        sizes = np.fromiter(map(len, edges), np.intp, len(edges))
+        flat = _flat(edges, int(sizes.sum()))
+        # one row per edge, padded with the largest node so that sorting puts the pads last
+        rows = np.repeat(np.arange(len(edges)), sizes)
+        cols = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        nodes = np.full((len(edges), sizes.max()), flat.max(initial=0), flat.dtype)
+        nodes[rows, cols] = flat
+        nodes.sort(axis=1)
+        real = np.arange(nodes.shape[1]) < sizes[:, None]
+        repeats = (nodes[:, 1:] == nodes[:, :-1]) & real[:, 1:]
+        outside = real & ((nodes < 1) | (nodes > self.num_nodes))
+        faults = (sizes < 2) | repeats.any(axis=1) | outside.any(axis=1)
+        if faults.any():
+            idx = int(faults.argmax())
+            if sizes[idx] < 2:
                 raise InstanceError(f"hyperedge {idx + 1} has fewer than 2 nodes")
-            if len(set(edge)) != len(edge):
+            if repeats[idx].any():
                 raise InstanceError(f"hyperedge {idx + 1} repeats a node")
-            for node in edge:
-                if node < 1 or node > self.num_nodes:
-                    raise InstanceError(f"hyperedge {idx + 1}: node {node} out of range 1..{self.num_nodes}")
+            node = nodes[idx, outside[idx].argmax()]
+            raise InstanceError(f"hyperedge {idx + 1}: node {node} out of range 1..{self.num_nodes}")
+        if not np.array_equal(nodes[rows, cols], flat):  # some edge is out of order
+            edges = tuple(tuple(row[:size]) for row, size in zip(nodes.tolist(), sizes.tolist()))
+        object.__setattr__(self, "hyperedges", edges)
+        # a pad position repeats its edge's first node, which keeps the edge's label set
+        nodes = np.where(real, nodes, nodes[:, :1]) - 1
+        nodes.flags.writeable = False
+        object.__setattr__(self, "_edge_nodes", nodes)
 
     @property
     def num_edges(self) -> int:
@@ -122,16 +162,23 @@ class Hypergraph:
 
     @property
     def max_edge_size(self) -> int:
-        return max(len(e) for e in self.hyperedges)
+        return self.edge_nodes.shape[1]
 
-    @cached_property
+    @property
     def edge_nodes(self) -> np.ndarray:
         """Read-only zero-based (M, max edge size) node array; each row is padded
         with its first node, which keeps its label set and marks the cut's pad slots."""
-        width = self.max_edge_size
-        nodes = np.array([e + (e[0],) * (width - len(e)) for e in self.hyperedges], dtype=np.intp) - 1
-        nodes.flags.writeable = False
-        return nodes
+        return self._edge_nodes
+
+
+def _flat(groups, count: int) -> np.ndarray:
+    """The ``count`` items of ``groups`` in one int64 array, or in an object
+    array when one does not fit int64, so that its range check and message
+    keep its exact value."""
+    try:
+        return np.fromiter(chain.from_iterable(groups), np.int64, count)
+    except OverflowError:
+        return np.fromiter(chain.from_iterable(groups), object, count)
 
 
 def check_clause_width(k: int) -> None:
@@ -199,55 +246,88 @@ def _index_scatter(keys, n: int):
     return order, np.cumsum(counts) - counts
 
 
+# each latin-1 byte of the data as the integer reader sees it: a digit or sign
+# as itself, an ASCII separator (one that str.split splits on) as a space,
+# anything else 0
+_DATA_BYTES = np.array([c if chr(c) in "+-0123456789" else 32 if c < 128 and chr(c).isspace() else 0
+                        for c in range(256)], np.uint8)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _tokenize(text: str, expect_format: str):
-    """Split instance text into (header fields, data tokens), skipping comments."""
-    header = None
-    tokens: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.split()[0] == "%":
+    """Split instance text into (header fields, data tokens as one integer
+    array), skipping comments.  Lines are split with ``str.splitlines``, as
+    ``_format`` writes them, and stripped; comment and header lines are then
+    blanked, so line i of the data is line i + 1 of the file."""
+    header, late = None, None  # late: an error after data lines, raised once they are read
+    lines = [raw.strip() for raw in text.splitlines()]
+    for index, line in enumerate(lines):
+        head = line[:1]
+        if head == "%" and line.split()[0] == "%":  # the token '%' ends the data
+            del lines[index:]
             break
-        if line.startswith("p"):
+        if head == "p":
             if header is not None:
-                raise InstanceError(f"line {lineno}: duplicate header")
+                late = f"line {index + 1}: duplicate header"
+                del lines[index:]
+                break
             parts = line.split()
             if len(parts) != 4 or parts[1] != expect_format:
-                raise InstanceError(f"line {lineno}: malformed header {line!r}, expected 'p {expect_format} N M'")
+                raise InstanceError(f"line {index + 1}: malformed header {line!r}, expected 'p {expect_format} N M'")
             try:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
-                raise InstanceError(f"line {lineno}: non-integer header fields in {line!r}") from None
-            continue
-        if header is None:
-            raise InstanceError(f"line {lineno}: data before 'p {expect_format}' header")
-        try:
-            tokens.extend(int(t) for t in line.split())
-        except ValueError:
-            raise InstanceError(f"line {lineno}: non-integer token in {line!r}") from None
+                raise InstanceError(f"line {index + 1}: non-integer header fields in {line!r}") from None
+            lines[index] = ""
+        elif head == "c":
+            lines[index] = ""
+        elif head and header is None:
+            raise InstanceError(f"line {index + 1}: data before 'p {expect_format}' header")
     if header is None:
         raise InstanceError(f"missing 'p {expect_format}' header")
+    tokens = _integers(lines)
+    if late:
+        raise InstanceError(late)
     return header, tokens
 
 
-def _split_on_zero(tokens: list[int], what: str, promised: int) -> list[tuple[int, ...]]:
+def _integers(lines: list[str]) -> np.ndarray:
+    """Every token of ``lines`` as one integer array, after one check over
+    their joined text that each token is an ASCII signed decimal integer,
+    ``[+-]?[0-9]+``.  A token past int64 keeps its exact value in an object
+    array."""
+    text = "\n".join(lines)
+    if not text.isascii():  # str.split's other separators, such as a no-break space, read as spaces
+        text = "\n".join(" ".join(line.split()) for line in lines)
+    chars = _DATA_BYTES[np.frombuffer(text.encode("latin-1", "replace"), np.uint8)]
+    space, sign = chars == 32, (chars == 43) | (chars == 45)
+    # a sign opens its token and is followed by a digit
+    opens, before_digit = np.ones_like(sign), np.zeros_like(sign)
+    opens[1:], before_digit[:-1] = space[:-1], chars[1:] > 47
+    faults = (chars == 0) | sign & ~(opens & before_digit)
+    if faults.any():
+        index = text.count("\n", 0, int(faults.argmax()))
+        raise InstanceError(f"line {index + 1}: non-integer token in {lines[index]!r}")
+    tokens = np.fromstring(chars.tobytes(), dtype=np.int64, sep=" ")
+    past = np.flatnonzero((tokens == _INT64_MAX) | (tokens == -_INT64_MAX - 1))  # where the reader saturates
+    if past.size:
+        words = text.split()
+        tokens = tokens.astype(object)
+        tokens[past] = [int(words[i]) for i in past]
+    return tokens
+
+
+def _split_on_zero(tokens: np.ndarray, what: str, promised: int) -> tuple[tuple[int, ...], ...]:
     """The ``0``-terminated groups of ``tokens``, exactly the header's ``promised`` many."""
-    groups: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for t in tokens:
-        if t == 0:
-            if not current:
-                raise InstanceError(f"empty {what} (stray 0 terminator)")
-            groups.append(tuple(current))
-            current = []
-        else:
-            current.append(t)
-    if current:
+    ends = np.flatnonzero(tokens == 0)
+    if (np.diff(ends, prepend=-1) == 1).any():
+        raise InstanceError(f"empty {what} (stray 0 terminator)")
+    if tokens.size and tokens[-1] != 0:
         raise InstanceError(f"unterminated {what} at end of input")
-    if len(groups) != promised:
-        raise InstanceError(f"header promises {promised} {what}s, found {len(groups)}")
-    return groups
+    if ends.size != promised:
+        raise InstanceError(f"header promises {promised} {what}s, found {ends.size}")
+    values, bounds = tuple(tokens.tolist()), [-1, *ends.tolist()]
+    return tuple([values[start + 1:end] for start, end in zip(bounds, bounds[1:])])
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -258,15 +338,15 @@ def parse_dimacs(text: str) -> CnfInstance:
     non-uniform clause widths.
     """
     (num_vars, num_clauses), tokens = _tokenize(text, "cnf")
-    return CnfInstance(num_vars=num_vars, clauses=tuple(_split_on_zero(tokens, "clause", num_clauses)))
+    return CnfInstance(num_vars=num_vars, clauses=_split_on_zero(tokens, "clause", num_clauses))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse ``p hyp`` text into a :class:`Hypergraph`."""
     (num_nodes, num_edges), tokens = _tokenize(text, "hyp")
-    if any(t < 0 for t in tokens):
+    if (tokens < 0).any():
         raise InstanceError("hyperedge lines must contain positive node indices")
-    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(_split_on_zero(tokens, "hyperedge", num_edges)))
+    return Hypergraph(num_nodes=num_nodes, hyperedges=_split_on_zero(tokens, "hyperedge", num_edges))
 
 
 def _format(header: str, groups: tuple[tuple[int, ...], ...], comments: list[str] | None) -> str:

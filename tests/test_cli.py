@@ -190,6 +190,34 @@ def test_solve_percent_inside_clause_exits_2(tmp_path, capsys):
     assert "non-integer token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, text, code, message", [
+    # a literal or node past int64 is out of range, shown whole
+    pytest.param("nae-sat", "p cnf 4 1\n1 2 3 1234567890123456789012345 0\n", 2,
+                 "error: clause 1: literal 1234567890123456789012345 out of range 1..4", id="cnf-past-int64"),
+    pytest.param("nae-sat", "p cnf 4 1\n1 2 -1234567890123456789012345 4 0\n", 2,
+                 "error: clause 1: literal -1234567890123456789012345 out of range 1..4", id="cnf-negative-past-int64"),
+    pytest.param("hyper-maxcut", "p hyp 4 1\n1 1234567890123456789012345 0\n", 2,
+                 "error: hyperedge 1: node 1234567890123456789012345 out of range 1..4", id="hyp-past-int64"),
+    # data tokens are ASCII signed decimals: int() would read the first two, DIMACS does not
+    pytest.param("nae-sat", "p cnf 4 1\n1 2 3 1_0 0\n", 2,
+                 "error: line 2: non-integer token in '1 2 3 1_0 0'", id="underscore"),
+    pytest.param("nae-sat", "c x\np cnf 4 1\n1 2 3 \u0664 0\n", 2,
+                 "error: line 3: non-integer token in '1 2 3 \u0664 0'", id="arabic-indic-digit"),
+    pytest.param("hyper-maxcut", "p hyp 4 1\n1 +-2 0\n", 2,
+                 "error: line 2: non-integer token in '1 +-2 0'", id="two-signs"),
+    # any whitespace str.split splits on separates tokens: tabs, runs of spaces, a no-break space
+    pytest.param("nae-sat", "p cnf 4 1\n1\t-2 \t 3\xa04\t0\n", 0, None, id="cnf-separators"),
+    pytest.param("hyper-maxcut", "p hyp 4 2\n\t1\t2  0\n+3 4\t0\n", 0, None, id="hyp-separators"),
+])
+def test_instance_dialect_and_overflow(tmp_path, problem, text, code, message, capsys):
+    path = tmp_path / "dialect.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["oracle", "--problem", problem, *(["--k", "2"] * (problem == "hyper-maxcut")),
+                 "--input", str(path)]) == code
+    if message is not None:
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_solve_clause_width_past_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 9 1\n1 -2 3 4 5 6 7 8 9 0\n")

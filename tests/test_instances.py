@@ -158,10 +158,187 @@ def test_instance_arrays_are_built_once_and_read_only():
     for array in (*inst.clause_arrays, graph.edge_nodes):
         with pytest.raises(ValueError):
             array[0, 0] = 0
-    # the cache is not a field: a read instance still equals and hashes like a fresh one
+    # the arrays are not fields: a read instance still equals and hashes like a fresh one
     for read, fresh in ((inst, CnfInstance(4, ((3, -1, 2), (-4, 2, 1)))),
                         (graph, Hypergraph(4, ((1, 3), (1, 2, 4))))):
         assert read == fresh and hash(read) == hash(fresh)
+
+
+def reference_tokenize(text: str, expect_format: str):
+    """Scalar reference for ``_tokenize``, line by line: (header fields, data tokens as ints)."""
+    header = None
+    tokens: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.split()[0] == "%":
+            break
+        if line.startswith("p"):
+            if header is not None:
+                raise InstanceError(f"line {lineno}: duplicate header")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != expect_format:
+                raise InstanceError(f"line {lineno}: malformed header {line!r}, expected 'p {expect_format} N M'")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise InstanceError(f"line {lineno}: non-integer header fields in {line!r}") from None
+            continue
+        if header is None:
+            raise InstanceError(f"line {lineno}: data before 'p {expect_format}' header")
+        try:
+            tokens.extend(int(t) for t in line.split())
+        except ValueError:
+            raise InstanceError(f"line {lineno}: non-integer token in {line!r}") from None
+    if header is None:
+        raise InstanceError(f"missing 'p {expect_format}' header")
+    return header, tokens
+
+
+def reference_split_on_zero(tokens: list[int], what: str, promised: int) -> list[tuple[int, ...]]:
+    """Scalar reference for ``_split_on_zero``."""
+    groups: list[tuple[int, ...]] = []
+    current: list[int] = []
+    for t in tokens:
+        if t == 0:
+            if not current:
+                raise InstanceError(f"empty {what} (stray 0 terminator)")
+            groups.append(tuple(current))
+            current = []
+        else:
+            current.append(t)
+    if current:
+        raise InstanceError(f"unterminated {what} at end of input")
+    if len(groups) != promised:
+        raise InstanceError(f"header promises {promised} {what}s, found {len(groups)}")
+    return groups
+
+
+def reference_parse(text: str, fmt: str):
+    """Scalar reference parser with per-item checks and arrays built from the
+    tuples: (count, groups, arrays), or the ``InstanceError`` the parser must raise."""
+    (count, promised), tokens = reference_tokenize(text, fmt)
+    if fmt == "hyp":
+        if any(t < 0 for t in tokens):
+            raise InstanceError("hyperedge lines must contain positive node indices")
+        edges = tuple(tuple(sorted(e)) for e in reference_split_on_zero(tokens, "hyperedge", promised))
+        if count < 1:
+            raise InstanceError("num_nodes must be positive")
+        if not edges:
+            raise InstanceError("hypergraph has no hyperedges")
+        for idx, edge in enumerate(edges):
+            if len(edge) < 2:
+                raise InstanceError(f"hyperedge {idx + 1} has fewer than 2 nodes")
+            if len(set(edge)) != len(edge):
+                raise InstanceError(f"hyperedge {idx + 1} repeats a node")
+            for node in edge:
+                if node < 1 or node > count:
+                    raise InstanceError(f"hyperedge {idx + 1}: node {node} out of range 1..{count}")
+        width = max(map(len, edges))
+        return count, edges, np.array([e + (e[0],) * (width - len(e)) for e in edges]) - 1
+    clauses = tuple(reference_split_on_zero(tokens, "clause", promised))
+    if count < 1:
+        raise InstanceError("num_vars must be positive")
+    if not clauses:
+        raise InstanceError("instance has no clauses")
+    k = len(clauses[0])
+    for idx, clause in enumerate(clauses):
+        if len(clause) != k:
+            raise InstanceError(f"clause {idx + 1} has {len(clause)} literals, expected uniform K={k}")
+        if len(clause) < 2:
+            raise InstanceError(f"clause {idx + 1} has fewer than 2 literals")
+        seen = set()
+        for lit in clause:
+            v = abs(lit)
+            if lit == 0 or v > count:
+                raise InstanceError(f"clause {idx + 1}: literal {lit} out of range 1..{count}")
+            if v in seen:
+                raise InstanceError(f"clause {idx + 1}: variable {v} repeated")
+            seen.add(v)
+    literals = np.array(clauses)
+    literals = np.take_along_axis(literals, np.argsort(np.abs(literals), axis=1), axis=1)
+    return count, clauses, (np.abs(literals) - 1, np.sign(literals))
+
+
+def assert_parses_as_reference(text: str, fmt: str):
+    parse = parse_dimacs if fmt == "cnf" else parse_hypergraph
+    try:
+        count, groups, arrays = reference_parse(text, fmt)
+    except InstanceError as exc:
+        with pytest.raises(InstanceError) as raised:
+            parse(text)
+        assert str(raised.value) == str(exc)
+        return
+    parsed = parse(text)
+    if fmt == "cnf":
+        assert (parsed.num_vars, parsed.clauses) == (count, groups)
+        assert all(np.array_equal(a, b) for a, b in zip(parsed.clause_arrays, arrays))
+    else:
+        assert (parsed.num_nodes, parsed.hyperedges) == (count, groups)
+        assert np.array_equal(parsed.edge_nodes, arrays)
+
+
+# token separators: tabs, runs of spaces, groups split across lines, blank and comment lines
+SEPARATORS = [" ", "  ", "\t", " \t ", "\n", " \n\t", "\n\n", "\n  \n", "\nc a comment 1 0\n", "\r\n"]
+# tokens seeded among the groups: stray 0, non-integer, out of range, repeats, signs good and bad, past int64
+SEEDED = ["0", "x", "1.5", "9", "-9", "1", "-1", "+2", "-0", "-", "1-", "+-2", "99999999999999999999999"]
+
+
+@st.composite
+def instance_texts(draw):
+    fmt = draw(st.sampled_from(["cnf", "hyp"]))
+    n = draw(st.integers(2, 8))
+    widths = st.integers(2, min(n, 4))
+    k = draw(widths)
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = k if fmt == "cnf" else draw(widths)
+        group = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        if fmt == "cnf":
+            group = [v * draw(st.sampled_from((1, -1))) for v in group]
+        groups.append(group)
+    tokens = [str(t) for group in groups for t in [*group, 0]]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at, seeded = draw(st.integers(0, len(tokens) - 1)), draw(st.sampled_from(SEEDED))
+        tokens[at:at + draw(st.integers(0, 1))] = [seeded]  # inserted, or in place of a token
+    promised = len(groups) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    body = tokens[0]
+    for token in tokens[1:]:
+        body += draw(st.sampled_from(SEPARATORS)) + token
+    head = draw(st.sampled_from(["", "c made by a test\n", "\n  c indented comment\n"]))
+    tail = draw(st.sampled_from(["\n", "\n%\n0\n", "  \n\n"]))
+    return fmt, f"{head}p {fmt} {n} {promised}\n{body}{tail}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(instance_texts())
+def test_parse_matches_the_reference_parser(case):
+    fmt, text = case
+    assert_parses_as_reference(text, fmt)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("cnf", "p cnf 4 2\n1 -2 3 0\n0 2 3 4 0\n"),                  # stray 0
+    ("cnf", "p cnf 4 2\n1 -2 3 0\nc note\n2 3 x 0\n"),           # non-integer token
+    ("cnf", "p cnf 4 2\n1 -2 3 0\n2 3 4\n1 2 3 0\n"),            # non-integer stays ahead of a later count mismatch
+    ("cnf", "p cnf 4 2\n1 2 x 0\np cnf 4 2\n"),                   # non-integer ahead of a later duplicate header
+    ("cnf", "p cnf 4 2\n1 -2 3 0\n2 -5 1 0\n"),                   # out of range
+    ("cnf", "p cnf 4 2\n1 -2 -1 0\n2 -5 1 0\n"),                  # repeated before a later out of range
+    ("cnf", "p cnf 4 2\n1 -2 -1 5 0\n2 3 0\n"),                   # repeated inside the width check
+    ("cnf", "p cnf 4 2\n1 -2 3 0\n2 3 0\n"),                      # mixed width
+    ("cnf", "p cnf 4 3\n1 -2 3 0\n2 3 4 0\n"),                    # count mismatch
+    ("cnf", "p cnf 4 1\n-9223372036854775808 2 3 0\n"),           # int64's minimum
+    ("cnf", "p cnf 4 1\n1 2 3 99999999999999999999999 0\n"),      # past int64
+    ("hyp", "p hyp 4 2\n1 2 0\n3 -4 0\n"),                       # negative node
+    ("hyp", "p hyp 4 2\n1 2 0\n3 5 4 0\n"),                      # out of range
+    ("hyp", "p hyp 4 2\n1 2 0\n3 4 3 9 0\n"),                    # repeats before out of range
+    ("hyp", "p hyp 4 2\n1 2 0\n3 0\n"),                          # one node
+    ("hyp", "p hyp 4 2\n2 1 0\n3 0 4 0\n"),                      # unsorted, then a stray 0
+    ("hyp", "p hyp 4 2\n1 2 0\n4 3 1 0\n"),                      # unsorted edges parse sorted
+])
+def test_seeded_faults_match_the_reference_parser(fmt, text):
+    assert_parses_as_reference(text, fmt)
 
 
 def test_planted_instance_is_satisfied_by_plant():
