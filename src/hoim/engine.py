@@ -10,10 +10,10 @@ initial phases and its entire noise stream from a generator seeded with
 ``seed + r``, so results are bit-reproducible for a fixed (instance,
 config).  The restarts are evolved together as one batch; a cut restart r
 replays bit for bit as a solo run seeded ``seed + r``, and so does an NAE
-restart past ``naesat.DENSE_N`` variables, at any K.  At N <= DENSE_N the
-products with ``J`` and the dense pattern sum in an order set by the batch
-shape, so an NAE restart there replays only in a batch of the same
-``restarts`` count.
+restart past ``naesat.DENSE_N`` variables, or at K >= 5 at any N.  At
+N <= DENSE_N with K <= 4 the products with ``J`` and the K = 4 pattern sum
+in an order set by the batch shape, so an NAE restart there replays only in
+a batch of the same ``restarts`` count.
 Every restart integrates to the end of the loop; ``target`` only stops a
 restart's recording, and the loop ends early once every restart has stopped.
 
@@ -107,8 +107,9 @@ class TraceRecord:
 @dataclass(frozen=True)
 class RestartSummary:
     """Outcome of one restart.  ``seed`` replays it bit for bit: as a solo run
-    for the cut and for NAE past ``naesat.DENSE_N`` variables, in a batch of
-    the same ``restarts`` count for NAE at N <= DENSE_N, any K (see above).
+    for the cut, for NAE past ``naesat.DENSE_N`` variables and for NAE at
+    K >= 5, in a batch of the same ``restarts`` count for NAE at N <= DENSE_N
+    with K <= 4 (see above).
     ``stopped_early`` is ``steps_run < config.steps``: the restart reached
     ``target`` before the last step, and its recording stopped there."""
 

@@ -5,11 +5,11 @@ Text formats:
 * DIMACS CNF.  Comment lines start with ``c``, the header is
   ``p cnf <num_vars> <num_clauses>``, and each clause is a run of
   whitespace-separated signed variable indices terminated by ``0`` (clauses
-  may span lines).  Every data token is an ASCII signed decimal integer,
-  ``[+-]?[0-9]+``.  A line starting with the token ``%`` ends the data, so
-  the SATLIB trailer (``%`` then ``0``) is accepted.  NAE semantics are an
-  interpretation applied by the solver, so any standard SAT tooling can
-  produce inputs.
+  may span lines).  Every data token and both header fields are ASCII
+  signed decimal integers, ``[+-]?[0-9]+``.  A line starting with the token
+  ``%`` ends the data, so the SATLIB trailer (``%`` then ``0``) is accepted.
+  NAE semantics are an interpretation applied by the solver, so any standard
+  SAT tooling can produce inputs.
 
 * Hyperedge lists.  Same conventions with header ``p hyp <num_nodes>
   <num_edges>``; each edge is a run of positive node indices terminated by
@@ -256,7 +256,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 def _tokenize(text: str, expect_format: str):
     """Split instance text into (header fields, data tokens as one integer
-    array), skipping comments.  Lines are split with ``str.splitlines``, as
+    array), both read by ``_integers``, skipping comments.  Lines are split with ``str.splitlines``, as
     ``_format`` writes them, and stripped; comment and header lines are then
     blanked, so line i of the data is line i + 1 of the file."""
     header, late = None, None  # late: an error after data lines, raised once they are read
@@ -275,8 +275,8 @@ def _tokenize(text: str, expect_format: str):
             if len(parts) != 4 or parts[1] != expect_format:
                 raise InstanceError(f"line {index + 1}: malformed header {line!r}, expected 'p {expect_format} N M'")
             try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
+                header = tuple(_integers(parts[2:]).tolist())
+            except InstanceError:
                 raise InstanceError(f"line {index + 1}: non-integer header fields in {line!r}") from None
             lines[index] = ""
         elif head == "c":

@@ -14,16 +14,18 @@ equals C * 2^(K-1) * (#unsatisfied) - (C_s/2) * N at binary phases.
 The terms are every even-size subset of a clause's positions, weighted by
 the product of its literal signs and kept per clause, unmerged (a repeated
 tuple counts once per copy, which gives the same sum).  Two forms evaluate
-them.  Up to N = ``DENSE_N`` variables, at every width, each pair term adds
+them.  Up to N = ``DENSE_N`` variables, at K <= 4 only, each pair term adds
 its weight into a symmetric, zero-diagonal, integer N x N matrix J at both
 orientations; as cos(phi_a - phi_b) = c_a c_b + s_a s_b with c = cos(phi)
 and s = sin(phi), the pairs give (c^T J c + s^T J s) / 2 and the drift
-s * (J c) - c * (J s).  The orders >= 4 are the columns of an
-alternating-sign (N, T) pattern, psi = phi @ pattern, and a term w cos(psi)
-gives +/- w sin(psi) to each member phase, the sign given by the member's
-position parity in the ascending tuple.
+s * (J c) - c * (J s).  At K = 4 a clause's one order-4 term is the clause
+itself, a column of an (N, M) pattern: +1 at its first and third variables
+and -1 at its second and fourth.  Then psi = phi @ pattern, and a term
+w cos(psi) gives +/- w sin(psi) to each member phase, by its column's sign.
+K <= 3 has no such term.
 
-Past that cutoff, one pass per clause reads its K slot phasors
+Past that cutoff, and at K >= 5 at every N (see ``DENSE_N``), one pass per
+clause reads its K slot phasors
 w_a = sigma_a e^(i phi_a) node-major, from cos and sin of phi.T, as the cut
 reads its phases.  With S = sum_a w_a, the clause's pairs are
 (|S|^2 - K)/2 with drift Im(w_a conj S) to slot a, and each order >= 4
@@ -55,16 +57,24 @@ from .instances import CnfInstance, _check_constants, _check_pair_keys, _index_s
 from .polynomial import build_objective  # noqa: F401  (perfbench/tracing.py wraps naesat.build_objective)
 
 
-# The dense form (J and the (N, T) pattern) is kept up to N = DENSE_N variables at
-# every width.  One drift in a noisy Euler loop, planted NAE-K, 20 restarts, in us,
-# median of 5 interleaved runs (2 vCPU, numpy 2.4.6, OpenBLAS on 1 thread); K = 4
-# crosses over near 256, while K = 3 still loses to J at 1000/2500:
+# The dense form (J, plus the (N, M) pattern at K = 4) is kept up to N = DENSE_N
+# variables at K <= 4 only.  One drift in a noisy Euler loop, planted NAE-K, 20
+# restarts, in us, median of 5 interleaved runs (2 vCPU, numpy 2.4.6, OpenBLAS on 1
+# thread); K = 4 crosses over near 256, while K = 3 still loses to J at 1000/2500:
 #
 #     K  form        20/50  100/250  200/500  300/750  1000/2500
 #     4  dense          50      383     1060     2022      15899
 #        per-clause    153      498     1054     1499       5866
 #     3  dense          26      109      262      689       4784
 #        per-clause     53      342      668     1521       5802
+# Past K = 4 a dense pattern needs all C(K, 4) + C(K, 6) + ... higher-order terms as
+# columns.  One drift in engine.run, 20 restarts, best of 5, that pattern / per-clause:
+#     K   20/50        100/250        256/640
+#     5   130 / 246     840 / 1820    3209 / 3637
+#     6   340 / 223    2438 / 2017   10156 / 3860
+#     8  2244 / 2448  15868 / 7567   96030 / 15775
+# At K = 5 the per-clause pass is slower, but it replays each restart solo and needs
+# no code past order 4.
 DENSE_N = 256
 
 # The per-clause pass takes its clauses in blocks whose (K, ...) and (T, ...)
@@ -92,11 +102,12 @@ class NaeSystem:
 
     The couplings are the indicator polynomial of ``instance`` scaled by
     2^(K-1), so they are integers: each clause's even-size position subsets,
-    weighted by their sign products.  The dense form (N <= DENSE_N) stores the
-    order-2 terms summed into the matrix ``_pairs`` (J), the orders >= 4
-    unmerged as ``_tuples`` (one ascending (T_r, r) array per order, in clause
-    order) with ``_weights`` (+-1 each), and their ``_pattern``.  The index
-    form (``_pattern`` is None) stores the (K, M) clause-slot table ``_rows``,
+    weighted by their sign products.  The dense form (N <= DENSE_N and
+    K <= 4) stores the order-2 terms summed into the matrix ``_pairs`` (J).
+    At K = 4 it stores each clause's order-4 term, in clause order, as a
+    column of the (N, M) ``_pattern``, with its sign product in ``_weights``;
+    at K <= 3 those are (N, 0) and empty.  The index form (``_pattern`` is
+    None: N > DENSE_N or K >= 5) stores the (K, M) clause-slot table ``_rows``,
     each slot's row of the signed phasor table: its variable, plus N where the
     literal is negated.  It stores one clause's order >= 4 terms as index tables
     (``_terms``, see :func:`_term_tables`), and ``_scatter`` and
@@ -114,29 +125,30 @@ class NaeSystem:
         _check_pair_keys(n)
         _check_constants(self, m * 2 ** (k - 1), "C*M*2^(K-1) + C_s*N")
         variables, signs = self.instance.clause_arrays
-        # every even-size subset of clause positions is a term weighted by the
-        # product of its signs; clause_arrays rows ascend by variable, so every
-        # tuple does
-        positions = [np.array(list(combinations(range(k), r))) for r in range(2, k + 1, 2)]
-        if n > DENSE_N:
+        if n > DENSE_N or k > 4:
             object.__setattr__(self, "_pattern", None)
             # each (K, M) clause slot's row of the phasor table [w, -w]: a negated literal reads -w
             object.__setattr__(self, "_rows", (variables + n * (signs < 0)).T.copy())
-            object.__setattr__(self, "_terms", _term_tables(positions[1:], k))
+            # the order >= 4 terms: every even-size subset of a clause's positions
+            positions = [np.array(list(combinations(range(k), r))) for r in range(4, k + 1, 2)]
+            object.__setattr__(self, "_terms", _term_tables(positions, k))
             scatter, segments = _index_scatter(variables.T.ravel(), n)
             object.__setattr__(self, "_scatter", scatter)
             object.__setattr__(self, "_segments", segments)
             return
-        # the terms kept per clause, in clause order
-        tuples = [variables[:, p].reshape(-1, p.shape[1]) for p in positions]
-        weights = [signs[:, p].prod(axis=-1).ravel() for p in positions]
-        # each pair term adds its weight to J at both orientations
-        (i, j), w = tuples.pop(0).T, weights.pop(0)
+        # each pair of a clause's positions adds the product of its two signs to J at
+        # both orientations
+        a, b = np.array(list(combinations(range(k), 2))).T
+        i, j, w = variables[:, a].ravel(), variables[:, b].ravel(), (signs[:, a] * signs[:, b]).ravel()
         pairs = np.bincount(np.r_[i * n + j, j * n + i], np.r_[w, w], minlength=n * n).reshape(n, n)
+        # K = 4's one order-4 term per clause, the clause itself: its pattern column
+        # alternates +1, -1 over its ascending variables, weighted by its sign product
+        quads = m if k == 4 else 0
+        pattern = np.zeros((n, quads))
+        pattern[variables[:quads], np.arange(quads)[:, None]] = (-1.0) ** np.arange(k)
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_tuples", tuple(tuples))
-        object.__setattr__(self, "_weights", np.concatenate([np.zeros(0)] + weights))
-        object.__setattr__(self, "_pattern", _pattern(n, tuples))
+        object.__setattr__(self, "_weights", signs[:quads].prod(axis=1).astype(float))
+        object.__setattr__(self, "_pattern", pattern)
 
     @classmethod
     def from_instance(cls, instance: CnfInstance, coupling: float | None = None,
@@ -189,7 +201,7 @@ class NaeSystem:
 
     def _dense_pass(self, phi, c, s, drift: bool, energy: bool):
         """The clause terms' (drift, energy) in the dense form: the pairs from
-        J's products with c and s, the orders >= 4 from psi = phi @ pattern."""
+        J's products with c and s, K = 4's order-4 terms from psi = phi @ pattern."""
         cj, sj, psi = c @ self._pairs, s @ self._pairs, phi @ self._pattern
         coupled = clauses = None
         if drift:
@@ -302,17 +314,6 @@ def _add_rows(x, axis: int = 0):
     for i in range(1, x.shape[axis]):
         out += x.take(i, axis)
     return out
-
-
-def _pattern(n: int, tuples) -> np.ndarray:
-    """The dense (N, T) form: one column per term, +1 at the even positions of
-    its ascending tuple and -1 at the odd ones."""
-    pattern = np.zeros((n, sum(map(len, tuples))))  # filled in place: the build's largest array
-    start = 0
-    for t in tuples:
-        pattern[t, start + np.arange(len(t))[:, None]] = (-1.0) ** np.arange(t.shape[1])
-        start += len(t)
-    return pattern
 
 
 def snap_to_spins(phases: np.ndarray) -> np.ndarray:

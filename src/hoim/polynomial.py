@@ -49,12 +49,6 @@ class InteractionPolynomial:
                 raise ValueError(f"duplicate term {variables}; merge coefficients first")
             seen.add(variables)
 
-    def coefficient(self, variables: tuple[int, ...]) -> Fraction:
-        for vs, c in self.terms:
-            if vs == variables:
-                return c
-        return Fraction(0)
-
 
 def make_polynomial(entries, constant=Fraction(0)) -> InteractionPolynomial:
     """Build a canonical polynomial from (variables, coefficient) pairs.

@@ -198,11 +198,16 @@ def test_solve_percent_inside_clause_exits_2(tmp_path, capsys):
                  "error: clause 1: literal -1234567890123456789012345 out of range 1..4", id="cnf-negative-past-int64"),
     pytest.param("hyper-maxcut", "p hyp 4 1\n1 1234567890123456789012345 0\n", 2,
                  "error: hyperedge 1: node 1234567890123456789012345 out of range 1..4", id="hyp-past-int64"),
-    # data tokens are ASCII signed decimals: int() would read the first two, DIMACS does not
+    # data tokens and header fields are ASCII signed decimals: int() would read
+    # underscores and other scripts' digits, DIMACS does not
     pytest.param("nae-sat", "p cnf 4 1\n1 2 3 1_0 0\n", 2,
                  "error: line 2: non-integer token in '1 2 3 1_0 0'", id="underscore"),
     pytest.param("nae-sat", "c x\np cnf 4 1\n1 2 3 \u0664 0\n", 2,
                  "error: line 3: non-integer token in '1 2 3 \u0664 0'", id="arabic-indic-digit"),
+    pytest.param("nae-sat", "p cnf 1_0 1\n1 2 0\n", 2,
+                 "error: line 1: non-integer header fields in 'p cnf 1_0 1'", id="header-underscore"),
+    pytest.param("nae-sat", "c x\np cnf \u0664 1\n1 2 0\n", 2,
+                 "error: line 2: non-integer header fields in 'p cnf \u0664 1'", id="header-arabic-indic-digit"),
     pytest.param("hyper-maxcut", "p hyp 4 1\n1 +-2 0\n", 2,
                  "error: line 2: non-integer token in '1 +-2 0'", id="two-signs"),
     # any whitespace str.split splits on separates tokens: tabs, runs of spaces, a no-break space

@@ -146,8 +146,9 @@ def test_noisy_run_is_per_step_euler_maruyama(setup, dt, schedule, amplitude, mo
             assert [(rec.energy, rec.metric) for rec in result.trace if rec.step == s] == expected
 
 
-# one system per evaluation path: NAE through the dense pattern (K = 4 and 6) and
-# through index arrays (N > 256), the cut with pad slots and with W = 1
+# one system per evaluation path: NAE through J and the K = 4 pattern (20/50) and
+# through index arrays (K = 6 at 20/50, K = 4 at N > 256), the cut with pad slots
+# and with W = 1
 FUSED_SYSTEMS = {
     "nae4-dense": lambda: NaeSystem.from_instance(generate_planted_nae(20, 50, 4, seed=1)[0]),
     "nae6": lambda: NaeSystem.from_instance(generate_planted_nae(20, 50, 6, seed=1)[0]),
@@ -160,7 +161,7 @@ FUSED_SYSTEMS = {
 def fused_system(name):
     system = FUSED_SYSTEMS[name]()
     if name.startswith("nae"):
-        assert (system._pattern is None) == (name == "nae4-index")
+        assert (system._pattern is None) == (name != "nae4-dense")
     else:
         assert (system._slots.shape[0] == 1) == (name == "cut-w1")
         assert (name == "cut-w1") or (system._slots == 0).any()  # pad slots read pair 0
@@ -480,12 +481,13 @@ def test_cut_restart_replays_solo_from_its_seed():
     assert replace(batch.restarts[5], restart=0, seed=12) == solo.restarts[0]
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_nae_index_restart_replays_solo_from_its_seed(k):
-    # past the dense cutoff every step of the NAE energy and drift is elementwise,
-    # a gather or a sum over a leading axis, so each restart of a batch seeded 5
-    # is a solo run seeded 5 + r; K = 3 has pairs only
-    inst, _ = generate_planted_nae(300, 750, k, seed=1)
+@pytest.mark.parametrize("k, n, m", [(3, 300, 750), (4, 300, 750), (5, 20, 50), (6, 20, 50), (8, 20, 50)],
+                         ids=["3", "4", "5-20-50", "6-20-50", "8-20-50"])
+def test_nae_index_restart_replays_solo_from_its_seed(k, n, m):
+    # past the dense cutoff, and at K > 4 at every N, every step of the NAE energy
+    # and drift is elementwise, a gather or a sum over a leading axis, so each
+    # restart of a batch seeded 5 is a solo run seeded 5 + r; K = 3 has pairs only
+    inst, _ = generate_planted_nae(n, m, k, seed=1)
     system = NaeSystem.from_instance(inst)
     assert system._pattern is None
     cfg = SolverConfig(dt=5e-3, steps=3000, noise_amplitude=3.0, noise_schedule="decay",

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
+from math import prod
 
 import numpy as np
 import pytest
@@ -144,12 +144,12 @@ def test_snap_recovers_plant_from_its_lattice():
 
 
 def assert_exact_scaled_objective(system):
-    """Dense form: J's upper triangle, then the stored order >= 4 weights
-    summed per tuple (zero sums dropped, sorted by order and tuple), are the
-    objective's terms times 2^(K-1), exactly.  The stored terms are unmerged:
-    each order holds every clause's r-subsets of its literals, in clause
-    order, M * C(K, r) rows, each weighted by its sign product; the dense
-    pattern holds those tuples' columns.  Index form: see
+    """Dense form (K <= 4): J's upper triangle, then the stored order-4
+    weights summed per tuple (zero sums dropped, sorted by tuple), are the
+    objective's terms times 2^(K-1), exactly.  At K = 4 the pattern holds one
+    column per clause, in clause order, the clause itself: +1 at its first and
+    third variables and -1 at its second and fourth, weighted by the product of
+    its four signs; K <= 3 has no column.  Index form: see
     ``assert_exact_clause_tables``."""
     if system._pattern is None:
         assert_exact_clause_tables(system)
@@ -161,25 +161,19 @@ def assert_exact_scaled_objective(system):
     assert np.array_equal(pairs, np.round(pairs))
     couplings = [((int(a) + 1, int(b) + 1), Fraction(pairs[a, b]))
                  for a, b in zip(*np.nonzero(np.triu(pairs)))]
-    orders = range(4, inst.k + 1, 2)
-    assert [len(t) for t in system._tuples] == [inst.num_clauses * comb(inst.k, r) for r in orders]
-    tuples = [row for t in system._tuples for row in t]
-    assert len(tuples) == len(system._weights)
-    stored = [(tuple(int(v) for v in members), weight) for members, weight in zip(tuples, system._weights)]
-    assert stored == [(tuple(abs(lit) - 1 for lit in subset), prod(1 if lit > 0 else -1 for lit in subset))
-                      for r in orders for clause in inst.clauses
-                      for subset in combinations(sorted(clause, key=abs), r)]
-    summed = {}
-    for members, weight in zip(tuples, system._weights):
-        assert np.all(np.diff(members) > 0)
-        key = tuple(int(v) + 1 for v in members)
-        summed[key] = summed.get(key, 0) + Fraction(weight)
-    couplings += sorted(((vs, w) for vs, w in summed.items() if w), key=lambda term: (len(term[0]), term[0]))
-    assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
-    pattern = np.zeros((inst.num_vars, len(tuples)))
-    for column, members in enumerate(tuples):
-        pattern[members, column] = (-1.0) ** np.arange(len(members))
+    variables, signs = inst.clause_arrays
+    quads = inst.num_clauses if inst.k == 4 else 0
+    pattern = np.zeros((inst.num_vars, quads))
+    for column, members in enumerate(variables[:quads].tolist()):
+        pattern[members, column] = (1.0, -1.0, 1.0, -1.0)
     assert np.array_equal(system._pattern, pattern)
+    assert system._weights.tolist() == [prod(row) for row in signs[:quads].tolist()]
+    summed = {}
+    for members, weight in zip(variables[:quads].tolist(), system._weights):
+        key = tuple(v + 1 for v in members)
+        summed[key] = summed.get(key, 0) + Fraction(weight)
+    couplings += sorted((vs, w) for vs, w in summed.items() if w)
+    assert couplings == [(vs, c * 2 ** (inst.k - 1)) for vs, c in build_objective(inst).terms]
 
 
 def assert_exact_clause_tables(system):
@@ -252,14 +246,17 @@ def test_agrees_with_dense_alternating_form(k, n, m, batch):
     (2, 1000, 2500, False), (3, 1000, 2500, False),  # no orders >= 4: no product step
     (4, 20, 50, True), (4, 200, 500, True), (4, 256, 640, True),
     (4, 257, 640, False), (4, 300, 750, False), (4, 1000, 2500, False), (8, 290, 40, False),
+    (2, 20, 50, True), (3, 256, 640, True),  # K <= 3: J and an empty pattern
+    (5, 20, 50, False), (6, 100, 250, False), (7, 50, 125, False), (8, 256, 300, False),
 ])
 def test_dense_cutoff(k, n, m, dense):
-    # every width keeps J and the pattern up to N = DENSE_N = 256
+    # K <= 4 keeps J, and at K = 4 one pattern column per clause, up to N = DENSE_N
+    # = 256; wider clauses take the index form at every N
     system = NaeSystem.from_instance(generate_planted_nae(n, m, k, seed=3)[0])
     assert (system._pattern is not None) == dense
     assert hasattr(system, "_pairs") == dense  # the index form holds no N x N matrix
     if dense:
-        assert system._pattern.shape == (n, len(system._weights))
+        assert system._pattern.shape == (n, m if k == 4 else 0) == (n, len(system._weights))
 
 
 @pytest.mark.parametrize("k, n, m", INDEX_SIZES)

@@ -37,7 +37,7 @@ def test_k4_all_positive_matches_published_form():
     pairs = {vs for vs, _ in poly.terms if len(vs) == 2}
     assert pairs == set(combinations(range(1, 5), 2))
     assert all(c == Fraction(1, 8) for _, c in poly.terms)
-    assert poly.coefficient((1, 2, 3, 4)) == Fraction(1, 8)
+    assert dict(poly.terms)[(1, 2, 3, 4)] == Fraction(1, 8)
 
 
 def test_k5_all_positive_has_ten_pairs_five_quads():
@@ -58,7 +58,7 @@ def test_k4_mixed_signs_fold_into_coefficients():
         # coefficient sign is the product of the tuple's literal signs
         sign = -1 if 3 in vs else 1
         assert c == sign * unit
-    assert poly.coefficient((1, 2, 3, 4)) == -unit
+    assert dict(poly.terms)[(1, 2, 3, 4)] == -unit
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -114,7 +114,7 @@ def test_build_objective_single_pair_clause():
 def test_build_objective_merges_identical_clauses():
     inst = CnfInstance(2, ((1, 2), (1, 2)))
     poly = build_objective(inst)
-    assert poly.coefficient((1, 2)) == Fraction(1)
+    assert dict(poly.terms)[(1, 2)] == Fraction(1)
     assert poly.constant == Fraction(1)
 
 
